@@ -11,7 +11,7 @@ import json
 import sys
 
 from .errors import TirsError, UnsupportedKind
-from .galois import canext_polarity, canext_tandem, closed_sets
+from .galois import canext_polarity, canext_tandem, cross_check_extensions
 from .generators import GenSpec, generate
 from .functors import (FrameMorphism, GraphMorphism, alpha, beta,
                        check_naturality, gr, rho, validate_frame_morphism,
@@ -23,13 +23,6 @@ from .ploscica import dual_graph
 from .pti import check_pti, check_pti_frame_form
 from .structures import Frame, Graph, check_frame, check_graph
 from .suite import run_suite
-
-
-def _report_json(rep) -> dict:
-    return {"verdict": rep.verdict,
-            "witnesses": [{"condition": w.condition,
-                           "elements": list(w.elements)}
-                          for w in rep.witnesses]}
 
 
 def _load(path):
@@ -110,13 +103,7 @@ def cmd_canext(args):
     if args.method in ("polarity", "both"):
         emb_p, gl_p = canext_polarity(obj)
     if args.method == "both":
-        iso = {gl_p.as_lattice.name(emb_p.apply(a)):
-               gl_t.as_lattice.name(emb_t.apply(a))
-               for a in range(obj.n)}
-        agree = len(set(iso.values())) == obj.n and all(
-            gl_p.as_lattice.le_names(a, b)
-            == gl_t.as_lattice.le_names(iso[a], iso[b])
-            for a in iso for b in iso)
+        agree, iso = cross_check_extensions(emb_t, emb_p)
         print(json.dumps({"cross_check": agree,
                           "isomorphism": sorted(map(list, iso.items()))},
                          indent=2))
@@ -159,15 +146,15 @@ def cmd_check_pti(args):
         if not isinstance(obj, Frame):
             raise UsageError("--frame expects a frame file")
         rep = check_pti_frame_form(obj, args.all_witnesses)
-        print(json.dumps(_report_json(rep), indent=2))
+        print(json.dumps(rep.to_json(), indent=2))
         if not rep:
-            raise MathFailure(_report_json(rep))
+            raise MathFailure(rep.to_json())
         return
     obj = _load(args.file)
     if not isinstance(obj, FiniteLattice):
         raise UsageError("check-pti expects a lattice file (or --frame)")
     rep, witnesses = check_pti(obj, args.all_witnesses)
-    out = _report_json(rep)
+    out = rep.to_json()
     out["pairs"] = [{"x": w.x, "y": w.y, "w": w.w, "z": w.z,
                      "status": w.status} for w in witnesses]
     print(json.dumps(out, indent=2))
@@ -197,9 +184,9 @@ def cmd_check_morphism(args):
     rep = (validate_graph_morphism(m, args.all_witnesses)
            if isinstance(m, GraphMorphism)
            else validate_frame_morphism(m, args.all_witnesses))
-    print(json.dumps(_report_json(rep), indent=2))
+    print(json.dumps(rep.to_json(), indent=2))
     if not rep:
-        raise MathFailure(_report_json(rep))
+        raise MathFailure(rep.to_json())
 
 
 def cmd_check_naturality(args):
@@ -207,11 +194,11 @@ def cmd_check_naturality(args):
     rep = (validate_graph_morphism(m) if isinstance(m, GraphMorphism)
            else validate_frame_morphism(m))
     if not rep:
-        raise MathFailure(_report_json(rep))
+        raise MathFailure(rep.to_json())
     nat = check_naturality(m)
-    print(json.dumps(_report_json(nat), indent=2))
+    print(json.dumps(nat.to_json(), indent=2))
     if not nat:
-        raise MathFailure(_report_json(nat))
+        raise MathFailure(nat.to_json())
 
 
 def cmd_gen(args):

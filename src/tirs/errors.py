@@ -5,6 +5,10 @@ class TirsError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidInput(TirsError):
+    """A malformed structure or generation request."""
+
+
 class NotAPartialOrder(TirsError):
     def __init__(self, cycle):
         self.cycle = tuple(cycle)

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import HNotPreserved, IsoVerificationFailed, NotTiRS, NotWellDefined
+from .errors import (HNotPreserved, InvalidInput, IsoVerificationFailed,
+                     NotTiRS, NotWellDefined)
 from .lattice import CheckReport, Witness
-from .structures import ConditionReport, Frame, Graph, check_frame, check_graph
+from .structures import (ConditionReport, Frame, Graph, _collect, check_frame,
+                         check_graph, h_set)
 
 
 @dataclass(frozen=True)
@@ -25,8 +27,10 @@ class GraphMorphism:
     map: dict
 
     def __post_init__(self):
-        assert set(self.map) == set(self.source.vertices)
-        assert set(self.map.values()) <= set(self.target.vertices)
+        if set(self.map) != set(self.source.vertices) or \
+                not set(self.map.values()) <= set(self.target.vertices):
+            raise InvalidInput("map must send each source vertex to a "
+                               "target vertex")
 
     def apply(self, x: str) -> str:
         return self.map[x]
@@ -43,10 +47,12 @@ class FrameMorphism:
     map2: dict
 
     def __post_init__(self):
-        assert set(self.map1) == set(self.source.x1)
-        assert set(self.map2) == set(self.source.x2)
-        assert set(self.map1.values()) <= set(self.target.x1)
-        assert set(self.map2.values()) <= set(self.target.x2)
+        if set(self.map1) != set(self.source.x1) or \
+                set(self.map2) != set(self.source.x2) or \
+                not set(self.map1.values()) <= set(self.target.x1) or \
+                not set(self.map2.values()) <= set(self.target.x2):
+            raise InvalidInput("map1/map2 must send each source point to a "
+                               "target point of the same sort")
 
     def to_json(self) -> dict:
         return {"map1": sorted(map(list, self.map1.items())),
@@ -110,26 +116,6 @@ def rho(g: Graph) -> Frame:
                   for x in g.vertices for y in g.vertices
                   if not g.has(x, y))
     return Frame(x1, x2, r, {"class1": dict(cls1), "class2": dict(cls2)})
-
-
-def h_set(f: Frame) -> list[tuple[str, str]]:
-    """The H-vertex set of a frame: pairs (x, y) with x not related to y
-    that are maximal in the row/column inclusion sense."""
-    rows = {x: f.row(x) for x in f.x1}
-    cols = {y: f.col(y) for y in f.x2}
-    out = []
-    for x in f.x1:
-        for y in f.x2:
-            if f.has(x, y):
-                continue
-            if not all(f.has(u, y) for u in f.x1
-                       if u != x and rows[x] <= rows[u]):
-                continue
-            if not all(f.has(x, v) for v in f.x2
-                       if v != y and cols[y] <= cols[v]):
-                continue
-            out.append((x, y))
-    return out
 
 
 def _pair_name(x: str, y: str) -> str:
@@ -330,12 +316,7 @@ def validate_graph_morphism(m: GraphMorphism,
                         not (cols_t[m.map[a]] <= cols_t[m.map[b]]):
                     yield Witness("iii", (a, b))
 
-    out = []
-    for w in gen():
-        out.append(w)
-        if not all_witnesses:
-            break
-    return CheckReport.ok() if not out else CheckReport.fail(out)
+    return _collect(gen(), all_witnesses)
 
 
 def validate_frame_morphism(m: FrameMorphism,
@@ -368,12 +349,7 @@ def validate_frame_morphism(m: FrameMorphism,
             if (m.map1[x], m.map2[y]) not in h_t:
                 yield Witness("iv", (x, y))
 
-    out = []
-    for w in gen():
-        out.append(w)
-        if not all_witnesses:
-            break
-    return CheckReport.ok() if not out else CheckReport.fail(out)
+    return _collect(gen(), all_witnesses)
 
 
 # -- functor action on morphisms ----------------------------------------

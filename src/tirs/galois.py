@@ -2,19 +2,19 @@
 perfect lattice, and the two canonical-extension constructions.
 
 closed sets are generated as the intersection closure of the column extents
-plus the full first carrier; density and compactness of the computed
-canonical extensions are re-verified rather than assumed.
+plus the full first carrier.  The computed canonical extensions are
+verified to be onto lattice embeddings and dense; compactness holds in the
+finite case without a check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import EmbeddingNotOnto, IrreducibleMismatch, NotPerfect
 from .lattice import (CheckReport, FiniteLattice, LatticeEmbedding, Witness,
-                      check_compact, check_dense, filters_ideals, irreducibles,
-                      lattice_from_leq)
+                      check_dense, filters_ideals, irreducibles,
+                      lattice_from_leq, pairwise_closure)
 from .ploscica import dual_graph, maximal_pairs
 from .structures import Frame
 from .functors import rho
@@ -41,6 +41,16 @@ def closure(f: Frame, A) -> frozenset[str]:
 
 def _set_name(s: frozenset[str]) -> str:
     return "{" + ",".join(sorted(s)) + "}"
+
+
+def inclusion_lattice(family):
+    """A family of sets in (size, members) order, and the lattice it forms
+    under inclusion with each set named by its members."""
+    sets = sorted(family, key=lambda s: (len(s), sorted(s)))
+    names = [_set_name(s) for s in sets]
+    leq = [(names[i], names[j]) for i, si in enumerate(sets)
+           for j, sj in enumerate(sets) if si <= sj]
+    return sets, lattice_from_leq(names, leq)
 
 
 @dataclass(frozen=True)
@@ -72,26 +82,12 @@ def closed_sets(f: Frame) -> GaloisLattice:
     Generated as the intersection closure of the column extents together
     with the full carrier; each member is verified to be Galois-closed.
     """
-    full = frozenset(f.x1)
-    family = {full}
-    for y in f.x2:
-        family.add(f.col(y))
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(family), 2):
-            c = a & b
-            if c not in family:
-                family.add(c)
-                changed = True
+    family = pairwise_closure({frozenset(f.x1)} | {f.col(y) for y in f.x2},
+                              frozenset.__and__)
     for s in family:
         assert closure(f, s) == s, f"generated set {sorted(s)} is not closed"
 
-    sets = sorted(family, key=lambda s: (len(s), sorted(s)))
-    names = [_set_name(s) for s in sets]
-    leq = [(names[i], names[j]) for i, si in enumerate(sets)
-           for j, sj in enumerate(sets) if si <= sj]
-    lat = lattice_from_leq(names, leq)
+    sets, lat = inclusion_lattice(family)
 
     j = frozenset(_set_name(closure(f, {x})) for x in f.x1)
     m = frozenset(_set_name(f.col(y)) for y in f.x2)
@@ -110,18 +106,24 @@ def irreducibles_of_galois(gl: GaloisLattice):
     return j, m
 
 
-def check_perfect(C: FiniteLattice) -> CheckReport:
-    """Every element is a join of join-irreducibles and a meet of
-    meet-irreducibles (automatic for finite lattices, checked anyway)."""
+def _generation_failures(C: FiniteLattice):
+    """("join", a) for each element a that is not the join of the
+    join-irreducibles below it, and ("meet", a) dually, in index order."""
     j, m = irreducibles(C)
     ji = [C.index(x) for x in j]
     mi = [C.index(x) for x in m]
-    bad = []
     for a in range(C.n):
         if C.join_of([x for x in ji if C.le(x, a)]) != a:
-            bad.append(Witness("join-of-irreducibles", (C.name(a),)))
+            yield "join", a
         if C.meet_of([x for x in mi if C.le(a, x)]) != a:
-            bad.append(Witness("meet-of-irreducibles", (C.name(a),)))
+            yield "meet", a
+
+
+def check_perfect(C: FiniteLattice) -> CheckReport:
+    """Every element is a join of join-irreducibles and a meet of
+    meet-irreducibles (automatic for finite lattices, checked anyway)."""
+    bad = [Witness(f"{kind}-of-irreducibles", (C.name(a),))
+           for kind, a in _generation_failures(C)]
     return CheckReport.ok() if not bad else CheckReport.fail(bad)
 
 
@@ -143,7 +145,8 @@ def canext_tandem(L: FiniteLattice):
     classes of maximal pairs whose filter part contains a.
 
     Returns (embedding, GaloisLattice).  The embedding is verified to be a
-    dense and compact bounded-lattice embedding, onto in the finite case.
+    dense bounded-lattice embedding, onto in the finite case (where it is
+    compact without a check).
     """
     g = dual_graph(L)
     f = rho(g)
@@ -200,11 +203,23 @@ def _verify_canonical(emb: LatticeEmbedding):
         raise AssertionError(f"not an embedding: {rep.witnesses[0]}")
     if not check_dense(emb):
         raise AssertionError("computed extension is not dense")
-    if not check_compact(emb):
-        raise AssertionError("computed extension is not compact")
     if len(set(emb.map)) != emb.target.n:
         raise EmbeddingNotOnto(
             "a finite lattice is its own canonical extension")
+
+
+def cross_check_extensions(emb_t: LatticeEmbedding, emb_p: LatticeEmbedding):
+    """Compare two canonical extensions of the same lattice, such as the
+    tandem and polarity ones.  Returns (agree, iso): iso maps the polarity
+    image of each element to its tandem image, and agree says that iso is
+    a bijection on all of L that preserves and reflects the order."""
+    T, P = emb_t.target, emb_p.target
+    iso = {P.name(emb_p.apply(a)): T.name(emb_t.apply(a))
+           for a in range(emb_t.source.n)}
+    agree = len(set(iso.values())) == emb_t.source.n and all(
+        P.le_names(a, b) == T.le_names(iso[a], iso[b])
+        for a in iso for b in iso)
+    return agree, iso
 
 
 def jinfty_via_maximal_pairs(emb: LatticeEmbedding) -> CheckReport:
@@ -223,11 +238,6 @@ def jinfty_via_maximal_pairs(emb: LatticeEmbedding) -> CheckReport:
         bad.append(Witness("jinfty", tuple(sorted(meets ^ j))))
     if joins != m:
         bad.append(Witness("minfty", tuple(sorted(joins ^ m))))
-    ji = [C.index(x) for x in j]
-    mi = [C.index(x) for x in m]
-    for c in range(C.n):
-        if C.join_of([x for x in ji if C.le(x, c)]) != c:
-            bad.append(Witness("join-generation", (C.name(c),)))
-        if C.meet_of([x for x in mi if C.le(c, x)]) != c:
-            bad.append(Witness("meet-generation", (C.name(c),)))
+    bad += [Witness(f"{kind}-generation", (C.name(c),))
+            for kind, c in _generation_failures(C)]
     return CheckReport.ok() if not bad else CheckReport.fail(bad)

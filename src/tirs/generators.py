@@ -8,13 +8,14 @@ transitively closed.  Identical GenSpec values yield identical output.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SizeUnreachable
-from .lattice import FiniteLattice, lattice_from_leq, lattice_iso
+from .errors import InvalidInput, SizeUnreachable
+from .galois import closed_sets, inclusion_lattice
+from .lattice import (FiniteLattice, lattice_from_leq, lattice_iso,
+                      pairwise_closure, transitive_closure)
 from .ploscica import dual_graph
 from .structures import Frame, Graph, check_frame
 from .functors import graph_iso
@@ -22,6 +23,14 @@ from .functors import graph_iso
 EXHAUSTIVE_POSET_MAX = 5
 EXHAUSTIVE_LATTICE_MAX = 6
 EXHAUSTIVE_FRAME_MAX = 3
+
+# Largest size exhaustive mode accepts, by kind (tirs-graph also enumerates
+# posets of the size).
+_EXHAUSTIVE_MAX = {"poset": EXHAUSTIVE_POSET_MAX,
+                   "lattice": EXHAUSTIVE_LATTICE_MAX,
+                   "distributive-lattice": EXHAUSTIVE_LATTICE_MAX,
+                   "tirs-graph": EXHAUSTIVE_POSET_MAX,
+                   "rs-frame": EXHAUSTIVE_FRAME_MAX}
 
 
 @dataclass(frozen=True)
@@ -33,10 +42,13 @@ class GenSpec:
     exhaustive: bool = False
 
     def __post_init__(self):
-        kinds = {"poset", "lattice", "distributive-lattice", "tirs-graph",
-                 "rs-frame"}
-        assert self.kind in kinds, f"unknown kind {self.kind}"
-        assert self.size >= 1 and self.count >= 1
+        if self.kind not in _EXHAUSTIVE_MAX:
+            raise InvalidInput(f"unknown kind {self.kind}")
+        if self.size < 1 or self.count < 1:
+            raise InvalidInput("size and count must be at least 1")
+        if self.exhaustive and self.size > _EXHAUSTIVE_MAX[self.kind]:
+            raise InvalidInput(f"exhaustive {self.kind} generation stops at "
+                               f"size {_EXHAUSTIVE_MAX[self.kind]}")
 
 
 def _random_strict_order(n: int, rng: random.Random) -> set[tuple[int, int]]:
@@ -46,15 +58,7 @@ def _random_strict_order(n: int, rng: random.Random) -> set[tuple[int, int]]:
     for (i, j) in pairs:
         if rng.random() < 0.5:
             rel.add((i, j))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for c in range(n):
-                if (b, c) in rel and (a, c) not in rel:
-                    rel.add((a, c))
-                    changed = True
-    return rel
+    return transitive_closure(n, rel)
 
 
 def _poset_graph(n: int, strict: set[tuple[int, int]]) -> Graph:
@@ -80,7 +84,6 @@ def gen_poset(spec: GenSpec) -> list[Graph]:
     all posets of the given size up to isomorphism."""
     assert spec.kind == "poset"
     if spec.exhaustive:
-        assert spec.size <= EXHAUSTIVE_POSET_MAX
         out: list[Graph] = []
         for rel in _enumerate_strict_orders(spec.size):
             g = _poset_graph(spec.size, rel)
@@ -94,29 +97,16 @@ def gen_poset(spec: GenSpec) -> list[Graph]:
 
 def _downset_lattice(g: Graph) -> FiniteLattice:
     """Lattice of downsets of a poset graph, ordered by inclusion."""
-    downs = {frozenset()}
-    for v in g.vertices:
-        downs.add(g.col(v))  # principal downset: everything below v
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(downs), 2):
-            for c in (a | b, a & b):
-                if c not in downs:
-                    downs.add(c)
-                    changed = True
-    sets = sorted(downs, key=lambda s: (len(s), sorted(s)))
-    names = ["{" + ",".join(sorted(s)) + "}" for s in sets]
-    leq = [(names[i], names[j]) for i, si in enumerate(sets)
-           for j, sj in enumerate(sets) if si <= sj]
-    return lattice_from_leq(names, leq)
+    # principal downsets (everything below v), closed under union and
+    # intersection
+    downs = pairwise_closure({frozenset()} | {g.col(v) for v in g.vertices},
+                             frozenset.__or__, frozenset.__and__)
+    return inclusion_lattice(downs)[1]
 
 
 def _dm_completion(g: Graph) -> FiniteLattice:
     """Dedekind-MacNeille completion of a poset graph, computed as the
     Galois-closed sets of the order polarity (P, P, <=)."""
-    from .galois import closed_sets
-
     frame = Frame(g.vertices, g.vertices, frozenset(g.edges))
     return closed_sets(frame).as_lattice
 
@@ -140,7 +130,6 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
     """
     assert spec.kind in ("lattice", "distributive-lattice")
     if spec.exhaustive:
-        assert spec.size <= EXHAUSTIVE_LATTICE_MAX
         out: list[FiniteLattice] = []
         names = [f"e{i}" for i in range(spec.size)]
         for rel in _enumerate_strict_orders(spec.size):
@@ -183,7 +172,6 @@ def gen_rs_frame(spec: GenSpec) -> list[Frame]:
     x2 = tuple(f"y{i}" for i in range(spec.size))
     cells = [(a, b) for a in x1 for b in x2]
     if spec.exhaustive:
-        assert spec.size <= EXHAUSTIVE_FRAME_MAX
         out = []
         for mask in range(2 ** len(cells)):
             r = frozenset(c for k, c in enumerate(cells) if mask >> k & 1)

@@ -68,36 +68,21 @@ def mph_leq(f: MaximalPair, g: MaximalPair) -> bool:
     return f.ones <= g.ones
 
 
-def _edge_empty_intersection(f: MaximalPair, g: MaximalPair) -> bool:
-    return not (f.ones & g.zeros)
-
-
-def _edge_pointwise(f: MaximalPair, g: MaximalPair) -> bool:
-    # f(a) <= g(a) on the common domain; only a in ones(f) with g(a) = 0
-    # can violate it
-    dom_f = f.ones | f.zeros
-    dom_g = g.ones | g.zeros
-    return all(not (a in f.ones and a in g.zeros) for a in dom_f & dom_g)
-
-
 def dual_graph(L: FiniteLattice) -> Graph:
     """The dual graph of L: vertices are maximal pairs (named p0, p1, ... in
     sorted generator order), with an edge (f, g) iff ones(f) and zeros(g)
     are disjoint.
 
-    The two defining forms of E (empty intersection vs pointwise order on
-    the shared domain) are both evaluated and must agree.
+    This empty-intersection form equals the pointwise order f(a) <= g(a)
+    on the shared domain; the tests check the two against each other.
     """
     pairs = maximal_pairs(L)
     names = [f"p{i}" for i in range(len(pairs))]
-    edges = set()
-    for i, f in enumerate(pairs):
-        for j, g in enumerate(pairs):
-            e1 = _edge_empty_intersection(f, g)
-            e2 = _edge_pointwise(f, g)
-            assert e1 == e2, "the two edge definitions disagree"
-            if e1:
-                edges.add((names[i], names[j]))
+    ones = [p.ones for p in pairs]
+    zeros = [p.zeros for p in pairs]
+    edges = frozenset((names[i], names[j])
+                      for i in range(len(pairs)) for j in range(len(pairs))
+                      if not (ones[i] & zeros[j]))
     meta = {names[i]: {"ones": p.ones_names(), "zeros": p.zeros_names()}
             for i, p in enumerate(pairs)}
-    return Graph(tuple(names), frozenset(edges), meta)
+    return Graph(tuple(names), edges, meta)

@@ -24,7 +24,8 @@ from typing import Optional
 
 from .errors import NotPerfect, NotRS
 from .lattice import CheckReport, FiniteLattice, Witness
-from .structures import Frame, check_frame
+from .structures import (Frame, _collect, _rows_cols, check_frame,
+                         ti_failures)
 from .galois import check_perfect, closed_sets, frame_of_perfect
 from .functors import frame_iso
 
@@ -94,42 +95,18 @@ def check_pti(C: FiniteLattice, all_witnesses: bool = False):
 
 
 def check_pti_frame_form(f: Frame, all_witnesses: bool = False) -> CheckReport:
-    """The frame-level PTi form: for every non-related (x, y) there are
-    (p, q) with x's row inside p's row, y's column inside q's column, p not
-    related to q, every other point with a containing row related to q, and
-    every other point with a containing column related from p.
+    """The frame-level PTi form: every non-related (x, y) lies below a
+    maximal non-related pair (p, q), that is x's row lies inside p's row
+    and y's column inside q's column.  This is (Ti) itself, reported under
+    the label "PTi-frame".
 
-    The maximality clauses quantify over points distinct from the witness
-    with containing (not necessarily strictly larger) rows/columns; on RS
+    Maximality quantifies over points distinct from the witness with
+    containing (not necessarily strictly larger) rows/columns; on RS
     frames, where rows and columns are separated, this coincides with the
     strict-inclusion phrasing and keeps non-separated frames such as F2x1
     honest about their maximal-extension failure."""
-    rows = {x: f.row(x) for x in f.x1}
-    cols = {y: f.col(y) for y in f.x2}
-
-    def witnessed(x, y):
-        for p in f.x1:
-            if not (rows[x] <= rows[p]):
-                continue
-            for q in f.x2:
-                if f.has(p, q) or not (cols[y] <= cols[q]):
-                    continue
-                if not all(f.has(u, q) for u in f.x1
-                           if u != p and rows[p] <= rows[u]):
-                    continue
-                if all(f.has(p, v) for v in f.x2
-                       if v != q and cols[q] <= cols[v]):
-                    return True
-        return False
-
-    bad = []
-    for x in f.x1:
-        for y in f.x2:
-            if not f.has(x, y) and not witnessed(x, y):
-                bad.append(Witness("PTi-frame", (x, y)))
-                if not all_witnesses:
-                    return CheckReport.fail(bad)
-    return CheckReport.ok() if not bad else CheckReport.fail(bad)
+    return _collect((Witness("PTi-frame", p)
+                     for p in ti_failures(f, *_rows_cols(f))), all_witnesses)
 
 
 def pti_bridge_suite(f: Frame) -> CheckReport:

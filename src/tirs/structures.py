@@ -3,14 +3,17 @@
 A graph is a set of vertices with a binary relation E; a frame is a
 two-sorted structure (X1, X2, R) with R between the sorts.  The checkers
 evaluate reflexivity and the separation (S), reducedness (R) and maximal
-extension (Ti) conditions literally by quantifier sweep, reporting the
-first witness in lexicographic scan order (all witnesses behind a flag).
+extension (Ti) conditions by quantifier sweep, reporting the first witness
+in lexicographic scan order (all witnesses behind a flag).  Frame (Ti) is
+decided against the H-set: every non-related pair must lie below an
+H-pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvalidInput
 from .lattice import CheckReport, Witness
 
 
@@ -24,7 +27,10 @@ class Graph:
 
     def __post_init__(self):
         vs = set(self.vertices)
-        assert all(a in vs and b in vs for a, b in self.edges)
+        if len(vs) != len(self.vertices):
+            raise InvalidInput("duplicate vertex names")
+        if not all(a in vs and b in vs for a, b in self.edges):
+            raise InvalidInput("an edge references an unknown vertex")
 
     def row(self, x: str) -> frozenset[str]:
         """xE = successors of x."""
@@ -54,7 +60,10 @@ class Frame:
 
     def __post_init__(self):
         s1, s2 = set(self.x1), set(self.x2)
-        assert all(a in s1 and b in s2 for a, b in self.r)
+        if len(s1) != len(self.x1) or len(s2) != len(self.x2):
+            raise InvalidInput("duplicate point names within x1 or x2")
+        if not all(a in s1 and b in s2 for a, b in self.r):
+            raise InvalidInput("a pair in r references an unknown point")
 
     def row(self, x: str) -> frozenset[str]:
         """xR."""
@@ -92,13 +101,9 @@ class ConditionReport:
                     and self.condTi)
 
     def to_json(self) -> dict:
-        def rep(r):
-            return {"verdict": r.verdict,
-                    "witnesses": [{"condition": w.condition,
-                                   "elements": list(w.elements)}
-                                  for w in r.witnesses]}
-        return {"reflexive": rep(self.reflexive), "S": rep(self.condS),
-                "R": rep(self.condR), "Ti": rep(self.condTi)}
+        return {"reflexive": self.reflexive.to_json(),
+                "S": self.condS.to_json(), "R": self.condR.to_json(),
+                "Ti": self.condTi.to_json()}
 
 
 def _collect(gen, all_witnesses):
@@ -161,8 +166,7 @@ def check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
     """Evaluate frame (S), (R) and (Ti).  RS iff (S) and (R) hold; TiRS iff
     additionally (Ti).  The reflexive slot is vacuously true (no reflexivity
     notion on two-sorted structures)."""
-    rows = {x: f.row(x) for x in f.x1}
-    cols = {y: f.col(y) for y in f.x2}
+    rows, cols = _rows_cols(f)
 
     def cond_s():
         for i, a in enumerate(f.x1):
@@ -190,33 +194,49 @@ def check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
             if not ok:
                 yield Witness("R(ii)", (y,))
 
-    def ti_witnessed(x, y):
-        for w in f.x1:
-            if not (rows[x] <= rows[w]):
-                continue
-            for z in f.x2:
-                if f.has(w, z) or not (cols[y] <= cols[z]):
-                    continue
-                if not all(f.has(u, z) for u in f.x1
-                           if u != w and rows[w] <= rows[u]):
-                    continue
-                if all(f.has(w, v) for v in f.x2
-                       if v != z and cols[z] <= cols[v]):
-                    return True
-        return False
-
-    def cond_ti():
-        for x in f.x1:
-            for y in f.x2:
-                if not f.has(x, y) and not ti_witnessed(x, y):
-                    yield Witness("Ti", (x, y))
-
     return ConditionReport(
         reflexive=CheckReport.ok(),
         condS=_collect(cond_s(), all_witnesses),
         condR=_collect(cond_r(), all_witnesses),
-        condTi=_collect(cond_ti(), all_witnesses),
+        condTi=_collect((Witness("Ti", p)
+                         for p in ti_failures(f, rows, cols)), all_witnesses),
     )
+
+
+def h_set(f: Frame) -> list[tuple[str, str]]:
+    """The H-vertex set of a frame: pairs (x, y) with x not related to y
+    that are maximal in the row/column inclusion sense."""
+    rows, cols = _rows_cols(f)
+    return [(x, y) for x in f.x1 for y in f.x2
+            if _is_h_pair(f, rows, cols, x, y)]
+
+
+def _rows_cols(f: Frame):
+    return {x: f.row(x) for x in f.x1}, {y: f.col(y) for y in f.x2}
+
+
+def _is_h_pair(f: Frame, rows, cols, x, y) -> bool:
+    """x is not related to y, y is related from every other point whose row
+    contains x's row, and x is related to every other point whose column
+    contains y's column."""
+    return (y not in rows[x]
+            and all(y in rows[u] for u in f.x1
+                    if u != x and rows[x] <= rows[u])
+            and all(x in cols[v] for v in f.x2
+                    if v != y and cols[y] <= cols[v]))
+
+
+def ti_failures(f: Frame, rows, cols):
+    """The pairs that break (Ti), in scan order: non-related (x, y) with no
+    H-pair (w, z) such that row(x) is inside row(w) and col(y) inside
+    col(z).  rows and cols map each point of f to its row or column."""
+    for x in f.x1:
+        for y in f.x2:
+            if y not in rows[x] and not any(
+                    _is_h_pair(f, rows, cols, w, z)
+                    for w in f.x1 if rows[x] <= rows[w]
+                    for z in f.x2 if cols[y] <= cols[z]):
+                yield x, y
 
 
 def is_poset_graph(g: Graph, all_witnesses: bool = False) -> CheckReport:

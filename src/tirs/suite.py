@@ -7,13 +7,14 @@ conjunction.  TIRS_SUITE_MAXSIZE bounds the sweep sizes (default 6).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
 
 from . import fixtures
 from .galois import (canext_polarity, canext_tandem, closed_sets, closure,
-                     frame_of_perfect, galois_down, galois_up,
+                     cross_check_extensions, galois_down, galois_up,
                      irreducibles_of_galois, jinfty_via_maximal_pairs)
 from .generators import GenSpec, gen_lattice, gen_poset, gen_rs_frame, \
     random_monotone_map
@@ -26,7 +27,7 @@ from .lattice import (LatticeEmbedding, check_compact, check_dense,
                       lattice_iso)
 from .ploscica import dual_graph
 from .pti import check_pti, check_pti_frame_form, pti_bridge_suite
-from .structures import check_frame, check_graph, is_poset_graph
+from .structures import check_frame, check_graph, h_set, is_poset_graph
 
 
 def _maxsize() -> int:
@@ -34,24 +35,36 @@ def _maxsize() -> int:
 
 
 def _corpus_lattices(seed):
+    return _lattices(seed, _maxsize())
+
+
+def _corpus_frames(seed):
+    return _frames(seed, _maxsize())
+
+
+# Each corpus is built once per (seed, max size) and shared by the tasks;
+# only the most recent one is kept.
+@functools.lru_cache(maxsize=1)
+def _lattices(seed, maxsize):
     lats = list(fixtures.all_lattices().values())
     rng = random.Random(seed)
-    for size in range(2, _maxsize() + 1):
+    for size in range(2, maxsize + 1):
         lats.extend(gen_lattice(GenSpec("lattice", size, rng.randrange(2**32),
                                         count=3)))
         if size <= 5:
             lats.extend(gen_lattice(
                 GenSpec("distributive-lattice", size,
                         rng.randrange(2**32), count=2)))
-    return lats
+    return tuple(lats)
 
 
-def _corpus_frames(seed):
+@functools.lru_cache(maxsize=1)
+def _frames(seed, maxsize):
     frames = [fixtures.diagonal_frame(), fixtures.ladder_truncation(3)]
-    frames += [rho(dual_graph(L)) for L in _corpus_lattices(seed)]
+    frames += [rho(dual_graph(L)) for L in _lattices(seed, maxsize)]
     frames += gen_rs_frame(GenSpec("rs-frame", 3, seed, count=1,
                                    exhaustive=True))
-    return [f for f in frames if check_frame(f).is_rs]
+    return tuple(f for f in frames if check_frame(f).is_rs)
 
 
 def task_lattice_laws(seed):
@@ -142,8 +155,6 @@ def task_roundtrips(seed):
 
 
 def task_h_characterization(seed):
-    from .functors import h_set
-
     for L in _corpus_lattices(seed):
         g = dual_graph(L)
         f = rho(g)
@@ -246,13 +257,8 @@ def task_galois_laws(seed):
 def task_canext_cross(seed):
     for L in _corpus_lattices(seed):
         emb_t, gl_t = canext_tandem(L)
-        emb_p, gl_p = canext_polarity(L)
-        iso = {gl_p.as_lattice.name(emb_p.apply(a)):
-               gl_t.as_lattice.name(emb_t.apply(a)) for a in range(L.n)}
-        ok = all(gl_p.as_lattice.le_names(a, b)
-                 == gl_t.as_lattice.le_names(iso[a], iso[b])
-                 for a in iso for b in iso)
-        if len(set(iso.values())) != L.n or not ok:
+        emb_p, _ = canext_polarity(L)
+        if not cross_check_extensions(emb_t, emb_p)[0]:
             return False, f"cross-construction mismatch on {L.elements}"
         if lattice_iso(gl_t.as_lattice, L) is None:
             return False, "tandem extension not isomorphic to the lattice"

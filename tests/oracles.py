@@ -95,3 +95,47 @@ def transitive_reflexive_pairs(names, covers):
                     rel.add((a, c))
                     changed = True
     return rel
+
+
+def pointwise_dual_edges(g) -> set[tuple[str, str]]:
+    """Edges of a dual graph recomputed from its vertex metadata by the
+    pointwise form: each vertex is a partial map into {0, 1} (1 on its
+    filter, 0 on its ideal), and (u, v) is an edge iff u(a) <= v(a) for
+    every a on which both maps are defined."""
+    maps = {v: {**{a: 0 for a in m["zeros"]}, **{a: 1 for a in m["ones"]}}
+            for v, m in g.meta.items()}
+    return {(u, v) for u in g.vertices for v in g.vertices
+            if all(maps[u][a] <= maps[v][a]
+                   for a in maps[u].keys() & maps[v].keys())}
+
+
+def literal_ti_failures(f: Frame) -> list[tuple[str, str]]:
+    """Frame (Ti) by literal quantifier search, in scan order: the
+    non-related (x, y) for which no (w, z) has row(x) inside row(w),
+    col(y) inside col(z), w not related to z, z related from every u != w
+    whose row contains row(w), and w related to every v != z whose column
+    contains col(z)."""
+    rows = {x: f.row(x) for x in f.x1}
+    cols = {y: f.col(y) for y in f.x2}
+
+    def witnessed(x, y):
+        return any(
+            rows[x] <= rows[w] and cols[y] <= cols[z] and not f.has(w, z)
+            and all(f.has(u, z) for u in f.x1
+                    if u != w and rows[w] <= rows[u])
+            and all(f.has(w, v) for v in f.x2
+                    if v != z and cols[z] <= cols[v])
+            for w in f.x1 for z in f.x2)
+
+    return [(x, y) for x in f.x1 for y in f.x2
+            if not f.has(x, y) and not witnessed(x, y)]
+
+
+def all_frames(n1: int, n2: int):
+    """Every relation between an n1-point and an n2-point carrier."""
+    x1 = tuple(f"x{i}" for i in range(n1))
+    x2 = tuple(f"y{i}" for i in range(n2))
+    cells = [(a, b) for a in x1 for b in x2]
+    for mask in range(2 ** len(cells)):
+        yield Frame(x1, x2, frozenset(c for k, c in enumerate(cells)
+                                      if mask >> k & 1))

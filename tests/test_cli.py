@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tirs
 from tirs import fixtures
 from tirs.cli import run
 from tirs.functors import rho
@@ -178,6 +183,57 @@ class TestSuite:
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
         assert len(lines) == 13
         assert all(l.startswith("PASS ") for l in lines)
+
+
+BAD_GRAPHS = {
+    "unknown-vertex": {"vertices": ["a"], "edges": [["a", "a"], ["a", "b"]]},
+    "duplicate-vertex": {"vertices": ["a", "a"], "edges": [["a", "a"]]},
+}
+
+
+class TestBadInput:
+    """Malformed input exits 2 with one error line, not through an
+    AssertionError."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_GRAPHS))
+    def test_bad_graph(self, tmp_path, capsys, name):
+        p = write_json(tmp_path, "g.json", BAD_GRAPHS[name])
+        assert run(["check", p]) == 2
+        assert capsys.readouterr().err.startswith("error: InvalidInput: ")
+
+    def test_duplicate_frame_points(self, tmp_path):
+        p = write_json(tmp_path, "f.json", {"x1": ["a", "a"], "x2": ["b"],
+                                            "r": []})
+        assert run(["check", p]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--size", "0", "--seed", "1"],
+        ["--size", "2", "--count", "0", "--seed", "1"],
+        ["--size", "9", "--exhaustive"],
+    ])
+    def test_bad_gen_request(self, argv):
+        assert run(["gen", "--kind", "poset", *argv]) == 2
+
+    def test_morphism_missing_a_vertex(self, files, tmp_path):
+        mor = write_json(tmp_path, "mor.json", {"map": [["p0", "p0"]]})
+        assert run(["check-morphism", files["dual_n5"], files["dual_n5"],
+                    mor]) == 2
+
+    @pytest.mark.parametrize("case", ["unknown-vertex", "duplicate-vertex",
+                                      "gen-size-0"])
+    def test_optimized_interpreter_still_validates(self, tmp_path, case):
+        if case == "gen-size-0":
+            argv = ["gen", "--kind", "poset", "--size", "0", "--seed", "1"]
+        else:
+            argv = ["check", write_json(tmp_path, "g.json", BAD_GRAPHS[case])]
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(tirs.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-m", "tirs.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: InvalidInput: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestUsage:

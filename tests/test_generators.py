@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tirs import fixtures
-from tirs.errors import SizeUnreachable
+from tirs.errors import InvalidInput, SizeUnreachable
 from tirs.generators import (GenSpec, gen_lattice, gen_poset, gen_rs_frame,
                              gen_tirs_graph, generate, random_monotone_map)
 from tirs.lattice import is_distributive, lattice_iso
@@ -116,7 +116,7 @@ class TestTirsGraphs:
     def test_generate_dispatch(self):
         assert generate(GenSpec("poset", 3, seed=1)) == \
             gen_poset(GenSpec("poset", 3, seed=1))
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidInput):
             GenSpec("widget", 3)
 
 

@@ -2,11 +2,18 @@ import pytest
 
 from tirs import fixtures
 from tirs.errors import DegenerateLattice, MismatchedCarrier
+from tirs.generators import GenSpec, gen_lattice
 from tirs.lattice import build_lattice
 from tirs.ploscica import dual_graph, maximal_pairs, mph_leq
 from tirs.structures import check_graph
 
-from oracles import brute_maximal_pairs
+from oracles import brute_maximal_pairs, pointwise_dual_edges
+
+
+def m_n(n):
+    atoms = [f"a{i}" for i in range(n)]
+    return build_lattice(["0", *atoms, "1"],
+                         [("0", a) for a in atoms] + [(a, "1") for a in atoms])
 
 
 def pair_generators(L):
@@ -70,6 +77,15 @@ class TestDualGraph:
     def test_duals_are_tirs(self, name):
         g = dual_graph(fixtures.all_lattices()[name])
         assert check_graph(g).is_tirs
+
+    def test_edges_match_the_pointwise_form(self):
+        lats = list(fixtures.all_lattices().values())
+        lats += [m_n(n) for n in range(3, 7)]
+        for size in range(3, 8):
+            lats += gen_lattice(GenSpec("lattice", size, seed=size, count=3))
+        for L in lats:
+            g = dual_graph(L)
+            assert g.edges == pointwise_dual_edges(g)
 
     def test_vertex_metadata_carries_the_pair(self):
         g = dual_graph(fixtures.n5())

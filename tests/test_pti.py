@@ -7,6 +7,9 @@ from tirs.galois import closed_sets
 from tirs.pti import (PTiWitness, check_pti, check_pti_frame_form,
                       pti_bridge_suite)
 from tirs.ploscica import dual_graph
+from tirs.structures import check_frame
+
+from oracles import all_frames, literal_ti_failures
 
 
 def rho_dual(L):
@@ -62,6 +65,26 @@ class TestFrameForm:
     def test_all_witnesses_flag(self):
         rep = check_pti_frame_form(fixtures.f2x1(), all_witnesses=True)
         assert len(rep.witnesses) >= 1
+
+
+# 16 + 64 + 64 + 512 + 256 + 256 = 1,168 frames
+SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("n1,n2", SHAPES)
+def test_ti_witnesses_match_the_literal_search(n1, n2):
+    for f in all_frames(n1, n2):
+        want = literal_ti_failures(f)
+        ti = check_frame(f, all_witnesses=True).condTi
+        assert [w.elements for w in ti.witnesses] == want
+        assert {w.condition for w in ti.witnesses} <= {"Ti"}
+        pti = check_pti_frame_form(f, all_witnesses=True)
+        assert [w.elements for w in pti.witnesses] == want
+        assert {w.condition for w in pti.witnesses} <= {"PTi-frame"}
+        assert [w.elements for w in check_frame(f).condTi.witnesses] == \
+            want[:1]
+        assert [w.elements for w in check_pti_frame_form(f).witnesses] == \
+            want[:1]
 
 
 class TestBridge:
