@@ -165,8 +165,8 @@ def cmd_check_pti(args):
 def _load_morphism(args):
     src = _load(args.source)
     tgt = _load(args.target)
-    payload = load_json(args.morphism)
-    kind = detect_kind(payload)
+    payload = _load(args.morphism)  # morphisms come back as raw payloads
+    kind = detect_kind(payload) if isinstance(payload, dict) else None
     if kind == "graph-morphism":
         if not (isinstance(src, Graph) and isinstance(tgt, Graph)):
             raise UsageError("graph morphism needs graph source and target")

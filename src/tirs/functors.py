@@ -16,8 +16,8 @@ from typing import Optional
 from .errors import (HNotPreserved, InvalidInput, IsoVerificationFailed,
                      NotTiRS, NotWellDefined)
 from .lattice import CheckReport, Witness
-from .structures import (ConditionReport, Frame, Graph, _collect, check_frame,
-                         check_graph, h_set)
+from .structures import (ConditionReport, Frame, Graph, _collect, bits,
+                         check_frame, check_graph, h_set, subset)
 
 
 @dataclass(frozen=True)
@@ -83,22 +83,15 @@ def identity_frame_morphism(f: Frame) -> FrameMorphism:
 # -- rho and gr ---------------------------------------------------------
 
 
-def _classes(vertices, key):
-    """Partition vertices by key; each class is named after its
-    minimal-index representative.  Returns (ordered class names, member map
-    vertex -> class name)."""
-    by_key = {}
-    member = {}
-    for v in vertices:
-        by_key.setdefault(key(v), []).append(v)
-    names = []
-    for v in vertices:
-        k = key(v)
-        rep = by_key[k][0]
-        member[v] = rep
-        if rep == v:
-            names.append(rep)
-    return tuple(names), member
+def _classes(vertices, keys):
+    """Partition vertices by their masks in keys; each class is named after
+    its minimal-index representative.  Returns (the representatives'
+    indices in order, member map vertex -> class name)."""
+    first = {}
+    for i, k in enumerate(keys):
+        first.setdefault(k, i)
+    return (list(first.values()),
+            {v: vertices[first[k]] for v, k in zip(vertices, keys)})
 
 
 def rho(g: Graph) -> Frame:
@@ -108,14 +101,15 @@ def rho(g: Graph) -> Frame:
     Class membership tables are attached as frame metadata under "class1"
     and "class2".
     """
-    rows = {x: g.row(x) for x in g.vertices}
-    cols = {x: g.col(x) for x in g.vertices}
-    x1, cls1 = _classes(g.vertices, lambda v: rows[v])
-    x2, cls2 = _classes(g.vertices, lambda v: cols[v])
-    r = frozenset((cls1[x], cls2[y])
-                  for x in g.vertices for y in g.vertices
-                  if not g.has(x, y))
-    return Frame(x1, x2, r, {"class1": dict(cls1), "class2": dict(cls2)})
+    vs, succ = g.vertices, g.succ
+    reps1, cls1 = _classes(vs, succ)
+    reps2, cls2 = _classes(vs, g.pred)
+    # rows are equal within a row class and columns within a column class,
+    # so relating the representatives relates the classes
+    r = frozenset((vs[x], vs[y]) for x in reps1 for y in reps2
+                  if not succ[x] >> y & 1)
+    return Frame(tuple(vs[x] for x in reps1), tuple(vs[y] for y in reps2), r,
+                 {"class1": cls1, "class2": cls2})
 
 
 def _pair_name(x: str, y: str) -> str:
@@ -194,8 +188,9 @@ def _is_graph_iso(m: GraphMorphism) -> bool:
         return False
     if len(g.vertices) != len(h.vertices):
         return False
-    return all(g.has(a, b) == h.has(m.map[a], m.map[b])
-               for a in g.vertices for b in g.vertices)
+    perm = [h.index[m.map[v]] for v in g.vertices]
+    return all(sum(1 << perm[b] for b in bits(row)) == h.succ[perm[a]]
+               for a, row in enumerate(g.succ))
 
 
 def _is_frame_iso(m: FrameMorphism) -> bool:
@@ -204,8 +199,9 @@ def _is_frame_iso(m: FrameMorphism) -> bool:
         return False
     if len(set(m.map2.values())) != len(f.x2) or len(f.x2) != len(g.x2):
         return False
-    return all(f.has(x, y) == g.has(m.map1[x], m.map2[y])
-               for x in f.x1 for y in f.x2)
+    perm = [g.index2[m.map2[y]] for y in f.x2]
+    return all(sum(1 << perm[y] for y in bits(row))
+               == g.rows[g.index1[m.map1[x]]] for x, row in zip(f.x1, f.rows))
 
 
 # -- isomorphism search -------------------------------------------------
@@ -217,14 +213,15 @@ def graph_iso(g1: Graph, g2: Graph) -> Optional[dict]:
     backtracking."""
     if len(g1.vertices) != len(g2.vertices):
         return None
+    s1, p1, s2, p2 = g1.succ, g1.pred, g2.succ, g2.pred
 
-    def profile(g, v):
-        return (len(g.row(v)), len(g.col(v)), g.has(v, v))
+    def profiles(g):
+        return [(s.bit_count(), p.bit_count(), s >> v & 1)
+                for v, (s, p) in enumerate(zip(g.succ, g.pred))]
 
-    cands = {a: [b for b in g2.vertices if profile(g1, a) == profile(g2, b)]
-             for a in g1.vertices}
-    order = sorted(g1.vertices, key=lambda a: (len(cands[a]),
-                                               g1.vertices.index(a)))
+    prof2 = profiles(g2)
+    cands = [[b for b, q in enumerate(prof2) if q == p] for p in profiles(g1)]
+    order = sorted(range(len(cands)), key=lambda a: len(cands[a]))
     assign = {}
     used = set()
 
@@ -235,8 +232,8 @@ def graph_iso(g1: Graph, g2: Graph) -> Optional[dict]:
         for b in cands[a]:
             if b in used:
                 continue
-            if all(g1.has(a, a2) == g2.has(b, b2)
-                   and g1.has(a2, a) == g2.has(b2, b)
+            if all(s1[a] >> a2 & 1 == s2[b] >> b2 & 1
+                   and p1[a] >> a2 & 1 == p2[b] >> b2 & 1
                    for a2, b2 in assign.items()):
                 assign[a] = b
                 used.add(b)
@@ -246,7 +243,8 @@ def graph_iso(g1: Graph, g2: Graph) -> Optional[dict]:
                 used.discard(b)
         return False
 
-    return dict(assign) if bt(0) else None
+    return {g1.vertices[a]: g2.vertices[b]
+            for a, b in assign.items()} if bt(0) else None
 
 
 def frame_iso(f1: Frame, f2: Frame) -> Optional[tuple[dict, dict]]:
@@ -255,20 +253,23 @@ def frame_iso(f1: Frame, f2: Frame) -> Optional[tuple[dict, dict]]:
     if len(f1.x1) != len(f2.x1) or len(f1.x2) != len(f2.x2):
         return None
 
-    c1 = {a: [b for b in f2.x1 if len(f1.row(a)) == len(f2.row(b))]
-          for a in f1.x1}
-    c2 = {a: [b for b in f2.x2 if len(f1.col(a)) == len(f2.col(b))]
-          for a in f1.x2}
-    # interleave sorts: every slot is (sort, point)
-    slots = [(1, x) for x in f1.x1] + [(2, y) for y in f1.x2]
+    def candidates(masks1, masks2):
+        count2 = [m.bit_count() for m in masks2]
+        return [[b for b, c in enumerate(count2) if c == m.bit_count()]
+                for m in masks1]
+
+    c1 = candidates(f1.rows, f2.rows)
+    c2 = candidates(f1.cols, f2.cols)
+    # interleave sorts: every slot is (sort, point index)
+    slots = [(1, x) for x in range(len(c1))] + [(2, y) for y in range(len(c2))]
     slots.sort(key=lambda s: len((c1 if s[0] == 1 else c2)[s[1]]))
     a1, a2 = {}, {}
     u1, u2 = set(), set()
 
     def consistent(sort, a, b):
-        if sort == 1:
-            return all(f1.has(a, y) == f2.has(b, a2[y]) for y in a2)
-        return all(f1.has(x, a) == f2.has(a1[x], b) for x in a1)
+        m1, m2, other = ((f1.rows[a], f2.rows[b], a2) if sort == 1
+                         else (f1.cols[a], f2.cols[b], a1))
+        return all(m1 >> i & 1 == m2 >> j & 1 for i, j in other.items())
 
     def bt(k):
         if k == len(slots):
@@ -287,7 +288,8 @@ def frame_iso(f1: Frame, f2: Frame) -> Optional[tuple[dict, dict]]:
                 used.discard(b)
         return False
 
-    return (dict(a1), dict(a2)) if bt(0) else None
+    return ({f1.x1[a]: f2.x1[b] for a, b in a1.items()},
+            {f1.x2[a]: f2.x2[b] for a, b in a2.items()}) if bt(0) else None
 
 
 # -- morphism validation ------------------------------------------------
@@ -298,23 +300,20 @@ def validate_graph_morphism(m: GraphMorphism,
     """Clauses: (i) edges map to edges; (ii) row inclusion is preserved;
     (iii) column inclusion is preserved."""
     g, h = m.source, m.target
-    rows_s = {x: g.row(x) for x in g.vertices}
-    cols_s = {x: g.col(x) for x in g.vertices}
-    rows_t = {x: h.row(x) for x in h.vertices}
-    cols_t = {x: h.col(x) for x in h.vertices}
+    img = [h.index[m.map[v]] for v in g.vertices]
 
     def gen():
         for (a, b) in sorted(g.edges):
             if not h.has(m.map[a], m.map[b]):
                 yield Witness("i", (a, b))
-        for a in g.vertices:
-            for b in g.vertices:
-                if rows_s[a] <= rows_s[b] and \
-                        not (rows_t[m.map[a]] <= rows_t[m.map[b]]):
-                    yield Witness("ii", (a, b))
-                if cols_s[a] <= cols_s[b] and \
-                        not (cols_t[m.map[a]] <= cols_t[m.map[b]]):
-                    yield Witness("iii", (a, b))
+        for a, va in enumerate(g.vertices):
+            for b, vb in enumerate(g.vertices):
+                if subset(g.succ[a], g.succ[b]) and \
+                        not subset(h.succ[img[a]], h.succ[img[b]]):
+                    yield Witness("ii", (va, vb))
+                if subset(g.pred[a], g.pred[b]) and \
+                        not subset(h.pred[img[a]], h.pred[img[b]]):
+                    yield Witness("iii", (va, vb))
 
     return _collect(gen(), all_witnesses)
 
@@ -324,27 +323,26 @@ def validate_frame_morphism(m: FrameMorphism,
     """Clauses: (i) relation is reflected; (ii)/(iii) row/column inclusion
     preserved; (iv) H-pairs map to H-pairs."""
     f, g = m.source, m.target
-    rows_s = {x: f.row(x) for x in f.x1}
-    cols_s = {y: f.col(y) for y in f.x2}
-    rows_t = {x: g.row(x) for x in g.x1}
-    cols_t = {y: g.col(y) for y in g.x2}
+    img2 = [g.index2[m.map2[y]] for y in f.x2]
+    rows_t = [g.rows[g.index1[m.map1[x]]] for x in f.x1]
+    cols_t = [g.cols[i] for i in img2]
     h_t = set(h_set(g))
 
     def gen():
-        for x in f.x1:
-            for y in f.x2:
-                if g.has(m.map1[x], m.map2[y]) and not f.has(x, y):
-                    yield Witness("i", (x, y))
-        for x in f.x1:
-            for w in f.x1:
-                if rows_s[x] <= rows_s[w] and \
-                        not (rows_t[m.map1[x]] <= rows_t[m.map1[w]]):
-                    yield Witness("ii", (x, w))
-        for y in f.x2:
-            for z in f.x2:
-                if cols_s[y] <= cols_s[z] and \
-                        not (cols_t[m.map2[y]] <= cols_t[m.map2[z]]):
-                    yield Witness("iii", (y, z))
+        for x, vx in enumerate(f.x1):
+            for y, vy in enumerate(f.x2):
+                if rows_t[x] >> img2[y] & 1 and not f.rows[x] >> y & 1:
+                    yield Witness("i", (vx, vy))
+        for x, vx in enumerate(f.x1):
+            for w, vw in enumerate(f.x1):
+                if subset(f.rows[x], f.rows[w]) and \
+                        not subset(rows_t[x], rows_t[w]):
+                    yield Witness("ii", (vx, vw))
+        for y, vy in enumerate(f.x2):
+            for z, vz in enumerate(f.x2):
+                if subset(f.cols[y], f.cols[z]) and \
+                        not subset(cols_t[y], cols_t[z]):
+                    yield Witness("iii", (vy, vz))
         for (x, y) in h_set(f):
             if (m.map1[x], m.map2[y]) not in h_t:
                 yield Witness("iv", (x, y))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import UnsupportedKind
+from .errors import InvalidInput, UnsupportedKind
 from .lattice import FiniteLattice, build_lattice
 from .structures import Frame, Graph
 
@@ -31,7 +31,28 @@ def detect_kind(payload: dict) -> str:
                           f"{sorted(payload)}")
 
 
+def _check_payload(payload):
+    """Raise InvalidInput unless payload is an object whose name lists,
+    pair lists and meta, where present, have the JSON types read."""
+    if not isinstance(payload, dict):
+        raise InvalidInput("a structure must be a JSON object")
+    for key in ("elements", "vertices", "x1", "x2"):
+        v = payload.get(key, [])
+        if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+            raise InvalidInput(f"{key} must be a list of strings")
+    for key in ("covers", "edges", "r", "map", "map1", "map2"):
+        v = payload.get(key, [])
+        if not isinstance(v, list) or not all(
+                isinstance(p, list) and len(p) == 2
+                and isinstance(p[0], str) and isinstance(p[1], str)
+                for p in v):
+            raise InvalidInput(f"{key} must be a list of name pairs")
+    if not isinstance(payload.get("meta", {}), dict):
+        raise InvalidInput("meta must be an object")
+
+
 def parse_structure(payload: dict):
+    _check_payload(payload)
     kind = detect_kind(payload)
     if kind == "lattice":
         return build_lattice(payload["elements"],

@@ -342,10 +342,9 @@ def lattice_iso(L1: FiniteLattice, L2: FiniteLattice) -> Optional[dict]:
         return None
     n = L1.n
 
-    def profile(L, a):
-        return (len(L.up(a)), len(L.down(a)))
-
-    cands = {a: [b for b in range(n) if profile(L1, a) == profile(L2, b)]
+    prof1, prof2 = ([(len(L.up(a)), len(L.down(a))) for a in range(n)]
+                    for L in (L1, L2))
+    cands = {a: [b for b in range(n) if prof2[b] == prof1[a]]
              for a in range(n)}
     order = sorted(range(n), key=lambda a: len(cands[a]))
     assign: dict[int, int] = {}

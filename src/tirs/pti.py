@@ -24,8 +24,7 @@ from typing import Optional
 
 from .errors import NotPerfect, NotRS
 from .lattice import CheckReport, FiniteLattice, Witness
-from .structures import (Frame, _collect, _rows_cols, check_frame,
-                         ti_failures)
+from .structures import Frame, _collect, check_frame, ti_failures
 from .galois import check_perfect, closed_sets, frame_of_perfect
 from .functors import frame_iso
 
@@ -105,8 +104,8 @@ def check_pti_frame_form(f: Frame, all_witnesses: bool = False) -> CheckReport:
     frames, where rows and columns are separated, this coincides with the
     strict-inclusion phrasing and keeps non-separated frames such as F2x1
     honest about their maximal-extension failure."""
-    return _collect((Witness("PTi-frame", p)
-                     for p in ti_failures(f, *_rows_cols(f))), all_witnesses)
+    return _collect((Witness("PTi-frame", p) for p in ti_failures(f)),
+                    all_witnesses)
 
 
 def pti_bridge_suite(f: Frame) -> CheckReport:

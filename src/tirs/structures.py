@@ -1,24 +1,60 @@
 """Graph and frame carriers with witnessed condition checkers.
 
 A graph is a set of vertices with a binary relation E; a frame is a
-two-sorted structure (X1, X2, R) with R between the sorts.  The checkers
-evaluate reflexivity and the separation (S), reducedness (R) and maximal
-extension (Ti) conditions by quantifier sweep, reporting the first witness
-in lexicographic scan order (all witnesses behind a flag).  Frame (Ti) is
-decided against the H-set: every non-related pair must lie below an
-H-pair.
+two-sorted structure (X1, X2, R) with R between the sorts.  Each holds its
+relation as int bitmasks over point indices, built once at construction.
+The checkers evaluate reflexivity and the separation (S), reducedness (R)
+and maximal extension (Ti) conditions on those masks, reporting the first
+witness in scan order (all witnesses behind a flag).  Frame (Ti) is decided
+against the H-set: every non-related pair must lie below an H-pair.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import InvalidInput
 from .lattice import CheckReport, Witness
 
 
+def bits(mask: int):
+    """The indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _names(mask: int, names) -> frozenset[str]:
+    return frozenset(names[i] for i in bits(mask))
+
+
+def _relation(names1, names2, pairs, duplicate, unknown):
+    """The index maps of two carriers, then the row masks (over names2) and
+    column masks (over names1) of a relation between them, in one pass."""
+    index1 = {v: i for i, v in enumerate(names1)}
+    index2 = index1 if names2 is names1 else \
+        {v: i for i, v in enumerate(names2)}
+    if len(index1) != len(names1) or len(index2) != len(names2):
+        raise InvalidInput(duplicate)
+    rows, cols = [0] * len(names1), [0] * len(names2)
+    try:
+        for a, b in pairs:
+            i, j = index1[a], index2[b]
+            rows[i] |= 1 << j
+            cols[j] |= 1 << i
+    except KeyError:
+        raise InvalidInput(unknown) from None
+    return index1, index2, tuple(rows), tuple(cols)
+
+
 @dataclass(frozen=True)
 class Graph:
+    """Vertices and edges E.  The relation is also held as index masks
+    built at construction: succ[i] has bit j set, and pred[j] bit i, iff
+    (v_i, v_j) is an edge; index maps each vertex to its position."""
+
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
     # optional per-vertex metadata (e.g. the maximal pair behind a dual-graph
@@ -26,19 +62,18 @@ class Graph:
     meta: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self):
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
-            raise InvalidInput("duplicate vertex names")
-        if not all(a in vs and b in vs for a, b in self.edges):
-            raise InvalidInput("an edge references an unknown vertex")
+        index, _, succ, pred = _relation(
+            self.vertices, self.vertices, self.edges,
+            "duplicate vertex names", "an edge references an unknown vertex")
+        vars(self).update(index=index, succ=succ, pred=pred)
 
     def row(self, x: str) -> frozenset[str]:
         """xE = successors of x."""
-        return frozenset(b for a, b in self.edges if a == x)
+        return _names(self.succ[self.index[x]], self.vertices)
 
     def col(self, x: str) -> frozenset[str]:
         """Ex = predecessors of x."""
-        return frozenset(a for a, b in self.edges if b == x)
+        return _names(self.pred[self.index[x]], self.vertices)
 
     def has(self, a: str, b: str) -> bool:
         return (a, b) in self.edges
@@ -53,25 +88,29 @@ class Graph:
 
 @dataclass(frozen=True)
 class Frame:
+    """Carriers X1, X2 and R between them.  The relation is also held as
+    index masks built at construction: rows[i] is the mask over X2 of the
+    row of x1[i], cols[j] the mask over X1 of the column of x2[j]; index1
+    and index2 map each point to its position."""
+
     x1: tuple[str, ...]
     x2: tuple[str, ...]
     r: frozenset[tuple[str, str]]
     meta: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self):
-        s1, s2 = set(self.x1), set(self.x2)
-        if len(s1) != len(self.x1) or len(s2) != len(self.x2):
-            raise InvalidInput("duplicate point names within x1 or x2")
-        if not all(a in s1 and b in s2 for a, b in self.r):
-            raise InvalidInput("a pair in r references an unknown point")
+        index1, index2, rows, cols = _relation(
+            self.x1, self.x2, self.r, "duplicate point names within x1 or x2",
+            "a pair in r references an unknown point")
+        vars(self).update(index1=index1, index2=index2, rows=rows, cols=cols)
 
     def row(self, x: str) -> frozenset[str]:
         """xR."""
-        return frozenset(b for a, b in self.r if a == x)
+        return _names(self.rows[self.index1[x]], self.x2)
 
     def col(self, y: str) -> frozenset[str]:
         """Ry."""
-        return frozenset(a for a, b in self.r if b == y)
+        return _names(self.cols[self.index2[y]], self.x1)
 
     def has(self, x: str, y: str) -> bool:
         return (x, y) in self.r
@@ -115,128 +154,134 @@ def _collect(gen, all_witnesses):
     return CheckReport.ok() if not out else CheckReport.fail(out)
 
 
+def subset(a: int, b: int) -> bool:
+    """Mask a is a subset of mask b."""
+    return not a & ~b
+
+
+def _supersets(masks) -> list[int]:
+    """For each i, the mask of the j with masks[i] a subset of masks[j]."""
+    return [sum(1 << j for j, b in enumerate(masks) if subset(a, b))
+            for a in masks]
+
+
+def _equal_pairs(keys, names, label):
+    for i, a in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            if a == keys[j]:
+                yield Witness(label, (names[i], names[j]))
+
+
 def check_graph(g: Graph, all_witnesses: bool = False) -> ConditionReport:
     """Evaluate reflexivity, (S), (R)(i)+(ii) and (Ti) on a graph.
 
     The graph is TiRS iff all four verdicts are true.
     """
-    rows = {x: g.row(x) for x in g.vertices}
-    cols = {x: g.col(x) for x in g.vertices}
-    vs = g.vertices
-
-    def refl():
-        for x in vs:
-            if not g.has(x, x):
-                yield Witness("reflexive", (x,))
-
-    def cond_s():
-        for i, x in enumerate(vs):
-            for y in vs[i + 1:]:
-                if rows[x] == rows[y] and cols[x] == cols[y]:
-                    yield Witness("S", (x, y))
+    vs, succ, pred = g.vertices, g.succ, g.pred
+    n = len(vs)
 
     def cond_r():
-        for z in vs:
-            for x in vs:
-                if rows[z] < rows[x] and g.has(z, x):
-                    yield Witness("R(i)", (z, x))
-        for y in vs:
-            for z in vs:
-                if cols[z] < cols[y] and g.has(y, z):
-                    yield Witness("R(ii)", (y, z))
+        # an edge z -> x with row(z) strictly inside row(x), and an edge
+        # y -> z with col(z) strictly inside col(y)
+        for z in range(n):
+            for x in bits(succ[z]):
+                if succ[z] != succ[x] and subset(succ[z], succ[x]):
+                    yield Witness("R(i)", (vs[z], vs[x]))
+        for y in range(n):
+            for z in bits(succ[y]):
+                if pred[z] != pred[y] and subset(pred[z], pred[y]):
+                    yield Witness("R(ii)", (vs[y], vs[z]))
 
     def cond_ti():
-        for x in vs:
-            for y in vs:
-                if not g.has(x, y):
-                    continue
-                if not any(rows[z] <= rows[x] and cols[z] <= cols[y]
-                           for z in vs):
-                    yield Witness("Ti", (x, y))
+        # an edge (x, y) needs a z with row(z) inside row(x) and col(z)
+        # inside col(y); reach[x] collects those y over all z
+        up_row, up_col = _supersets(succ), _supersets(pred)
+        reach = [0] * n
+        for z in range(n):
+            for x in bits(up_row[z]):
+                reach[x] |= up_col[z]
+        for x in range(n):
+            for y in bits(succ[x] & ~reach[x]):
+                yield Witness("Ti", (vs[x], vs[y]))
 
     return ConditionReport(
-        reflexive=_collect(refl(), all_witnesses),
-        condS=_collect(cond_s(), all_witnesses),
+        reflexive=_collect((Witness("reflexive", (x,))
+                            for i, x in enumerate(vs) if not succ[i] >> i & 1),
+                           all_witnesses),
+        condS=_collect(_equal_pairs(list(zip(succ, pred)), vs, "S"),
+                       all_witnesses),
         condR=_collect(cond_r(), all_witnesses),
         condTi=_collect(cond_ti(), all_witnesses),
     )
+
+
+class _HTable:
+    """The table behind frame (R), the H-set and (Ti).  up1[x] masks the w
+    whose row contains row(x); u1[x] is the AND of their rows, x's own
+    left out; up2 and u2 are the same on columns.  h[x] masks the y with
+    (x, y) an H-pair: y outside row(x), y in u1[x] and x in u2[y]."""
+
+    def __init__(self, f: Frame):
+        def meets(masks, up, width):
+            out = []
+            for i, u in enumerate(up):
+                m = (1 << width) - 1
+                for j in bits(u & ~(1 << i)):
+                    m &= masks[j]
+                out.append(m)
+            return out
+
+        self.up1, self.up2 = _supersets(f.rows), _supersets(f.cols)
+        self.u1 = meets(f.rows, self.up1, len(f.x2))
+        self.u2 = meets(f.cols, self.up2, len(f.x1))
+        self.h = [sum(1 << y for y in bits(~row & self.u1[x])
+                      if self.u2[y] >> x & 1)
+                  for x, row in enumerate(f.rows)]
 
 
 def check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
     """Evaluate frame (S), (R) and (Ti).  RS iff (S) and (R) hold; TiRS iff
     additionally (Ti).  The reflexive slot is vacuously true (no reflexivity
     notion on two-sorted structures)."""
-    rows, cols = _rows_cols(f)
-
-    def cond_s():
-        for i, a in enumerate(f.x1):
-            for b in f.x1[i + 1:]:
-                if rows[a] == rows[b]:
-                    yield Witness("S(i)", (a, b))
-        for i, a in enumerate(f.x2):
-            for b in f.x2[i + 1:]:
-                if cols[a] == cols[b]:
-                    yield Witness("S(ii)", (a, b))
-
-    def cond_r():
-        for x in f.x1:
-            ok = any(not f.has(x, y)
-                     and all(f.has(w, y) for w in f.x1
-                             if w != x and rows[x] <= rows[w])
-                     for y in f.x2)
-            if not ok:
-                yield Witness("R(i)", (x,))
-        for y in f.x2:
-            ok = any(not f.has(x, y)
-                     and all(f.has(x, z) for z in f.x2
-                             if z != y and cols[y] <= cols[z])
-                     for x in f.x1)
-            if not ok:
-                yield Witness("R(ii)", (y,))
-
+    t = _HTable(f)
+    cond_s = itertools.chain(_equal_pairs(f.rows, f.x1, "S(i)"),
+                             _equal_pairs(f.cols, f.x2, "S(ii)"))
+    # x needs a y outside its row that every other w whose row contains
+    # row(x) is related to; dually for y
+    cond_r = itertools.chain(
+        (Witness("R(i)", (f.x1[x],))
+         for x, row in enumerate(f.rows) if not ~row & t.u1[x]),
+        (Witness("R(ii)", (f.x2[y],))
+         for y, col in enumerate(f.cols) if not ~col & t.u2[y]))
     return ConditionReport(
         reflexive=CheckReport.ok(),
-        condS=_collect(cond_s(), all_witnesses),
-        condR=_collect(cond_r(), all_witnesses),
-        condTi=_collect((Witness("Ti", p)
-                         for p in ti_failures(f, rows, cols)), all_witnesses),
+        condS=_collect(cond_s, all_witnesses),
+        condR=_collect(cond_r, all_witnesses),
+        condTi=_collect((Witness("Ti", p) for p in ti_failures(f, t)),
+                        all_witnesses),
     )
 
 
 def h_set(f: Frame) -> list[tuple[str, str]]:
     """The H-vertex set of a frame: pairs (x, y) with x not related to y
     that are maximal in the row/column inclusion sense."""
-    rows, cols = _rows_cols(f)
-    return [(x, y) for x in f.x1 for y in f.x2
-            if _is_h_pair(f, rows, cols, x, y)]
+    h = _HTable(f).h
+    return [(f.x1[x], f.x2[y]) for x in range(len(f.x1)) for y in bits(h[x])]
 
 
-def _rows_cols(f: Frame):
-    return {x: f.row(x) for x in f.x1}, {y: f.col(y) for y in f.x2}
-
-
-def _is_h_pair(f: Frame, rows, cols, x, y) -> bool:
-    """x is not related to y, y is related from every other point whose row
-    contains x's row, and x is related to every other point whose column
-    contains y's column."""
-    return (y not in rows[x]
-            and all(y in rows[u] for u in f.x1
-                    if u != x and rows[x] <= rows[u])
-            and all(x in cols[v] for v in f.x2
-                    if v != y and cols[y] <= cols[v]))
-
-
-def ti_failures(f: Frame, rows, cols):
+def ti_failures(f: Frame, t: _HTable | None = None):
     """The pairs that break (Ti), in scan order: non-related (x, y) with no
     H-pair (w, z) such that row(x) is inside row(w) and col(y) inside
-    col(z).  rows and cols map each point of f to its row or column."""
-    for x in f.x1:
-        for y in f.x2:
-            if y not in rows[x] and not any(
-                    _is_h_pair(f, rows, cols, w, z)
-                    for w in f.x1 if rows[x] <= rows[w]
-                    for z in f.x2 if cols[y] <= cols[z]):
-                yield x, y
+    col(z).  t is f's table, when the caller has built it."""
+    t = t or _HTable(f)
+    full = (1 << len(f.x2)) - 1
+    for x, row in enumerate(f.rows):
+        reach = 0  # the z of the H-pairs (w, z) with row(x) inside row(w)
+        for w in bits(t.up1[x]):
+            reach |= t.h[w]
+        for y in bits(full & ~row):
+            if not reach & t.up2[y]:
+                yield f.x1[x], f.x2[y]
 
 
 def is_poset_graph(g: Graph, all_witnesses: bool = False) -> CheckReport:
@@ -250,8 +295,7 @@ def is_poset_graph(g: Graph, all_witnesses: bool = False) -> CheckReport:
             if x != y and g.has(y, x):
                 yield Witness("antisymmetric", (x, y))
         for x, y in sorted(g.edges):
-            for z in sorted(g.row(y)):
-                if not g.has(x, z):
-                    yield Witness("transitive", (x, y, z))
+            for z in sorted(g.row(y) - g.row(x)):
+                yield Witness("transitive", (x, y, z))
 
     return _collect(gen(), all_witnesses)

@@ -19,12 +19,11 @@ from .galois import (canext_polarity, canext_tandem, closed_sets, closure,
 from .generators import GenSpec, gen_lattice, gen_poset, gen_rs_frame, \
     random_monotone_map
 from .functors import (GraphMorphism, alpha, beta, compose_frame,
-                       compose_graph, check_naturality, frame_iso, gr,
+                       compose_graph, check_naturality,
                        identity_graph_morphism, rho, rho_mor, gr_mor,
                        validate_graph_morphism)
 from .lattice import (LatticeEmbedding, check_compact, check_dense,
-                      filters_ideals, irreducibles, is_distributive,
-                      lattice_iso)
+                      filters_ideals, irreducibles, lattice_iso)
 from .ploscica import dual_graph
 from .pti import check_pti, check_pti_frame_form, pti_bridge_suite
 from .structures import check_frame, check_graph, h_set, is_poset_graph

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 
-from tirs.lattice import FiniteLattice
-from tirs.structures import Frame
+from tirs.lattice import CheckReport, FiniteLattice, Witness
+from tirs.structures import ConditionReport, Frame, Graph
 
 
 def subsets(xs):
@@ -139,3 +139,293 @@ def all_frames(n1: int, n2: int):
     for mask in range(2 ** len(cells)):
         yield Frame(x1, x2, frozenset(c for k, c in enumerate(cells)
                                       if mask >> k & 1))
+
+
+# -- set-based graph/frame checkers -----------------------------------------
+#
+# The library holds every relation as index bitmasks.  These are the
+# frozenset bodies it replaced: rows and columns come from scanning the edge
+# set, and every condition is its quantifier sweep.  Witness order is the
+# library's contract, so the tests compare whole reports.
+
+
+def _report(gen, all_witnesses) -> CheckReport:
+    out = list(gen) if all_witnesses else list(itertools.islice(gen, 1))
+    return CheckReport.fail(out) if out else CheckReport.ok()
+
+
+def graph_rows_cols(g: Graph):
+    rows = {x: frozenset(b for a, b in g.edges if a == x) for x in g.vertices}
+    cols = {x: frozenset(a for a, b in g.edges if b == x) for x in g.vertices}
+    return rows, cols
+
+
+def frame_rows_cols(f: Frame):
+    return ({x: frozenset(b for a, b in f.r if a == x) for x in f.x1},
+            {y: frozenset(a for a, b in f.r if b == y) for y in f.x2})
+
+
+def set_check_graph(g: Graph, all_witnesses: bool = False) -> ConditionReport:
+    rows, cols = graph_rows_cols(g)
+    vs, e = g.vertices, g.edges
+
+    def refl():
+        for x in vs:
+            if (x, x) not in e:
+                yield Witness("reflexive", (x,))
+
+    def cond_s():
+        for i, x in enumerate(vs):
+            for y in vs[i + 1:]:
+                if rows[x] == rows[y] and cols[x] == cols[y]:
+                    yield Witness("S", (x, y))
+
+    def cond_r():
+        for z in vs:
+            for x in vs:
+                if rows[z] < rows[x] and (z, x) in e:
+                    yield Witness("R(i)", (z, x))
+        for y in vs:
+            for z in vs:
+                if cols[z] < cols[y] and (y, z) in e:
+                    yield Witness("R(ii)", (y, z))
+
+    def cond_ti():
+        for x in vs:
+            for y in vs:
+                if (x, y) in e and not any(
+                        rows[z] <= rows[x] and cols[z] <= cols[y]
+                        for z in vs):
+                    yield Witness("Ti", (x, y))
+
+    return ConditionReport(_report(refl(), all_witnesses),
+                           _report(cond_s(), all_witnesses),
+                           _report(cond_r(), all_witnesses),
+                           _report(cond_ti(), all_witnesses))
+
+
+def _is_h_pair(f: Frame, rows, cols, x, y) -> bool:
+    return (y not in rows[x]
+            and all(y in rows[u] for u in f.x1
+                    if u != x and rows[x] <= rows[u])
+            and all(x in cols[v] for v in f.x2
+                    if v != y and cols[y] <= cols[v]))
+
+
+def set_h_set(f: Frame) -> list[tuple[str, str]]:
+    rows, cols = frame_rows_cols(f)
+    return [(x, y) for x in f.x1 for y in f.x2
+            if _is_h_pair(f, rows, cols, x, y)]
+
+
+def set_ti_failures(f: Frame) -> list[tuple[str, str]]:
+    rows, cols = frame_rows_cols(f)
+    return [(x, y) for x in f.x1 for y in f.x2
+            if y not in rows[x] and not any(
+                _is_h_pair(f, rows, cols, w, z)
+                for w in f.x1 if rows[x] <= rows[w]
+                for z in f.x2 if cols[y] <= cols[z])]
+
+
+def set_check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
+    rows, cols = frame_rows_cols(f)
+
+    def has(x, y):
+        return (x, y) in f.r
+
+    def cond_s():
+        for i, a in enumerate(f.x1):
+            for b in f.x1[i + 1:]:
+                if rows[a] == rows[b]:
+                    yield Witness("S(i)", (a, b))
+        for i, a in enumerate(f.x2):
+            for b in f.x2[i + 1:]:
+                if cols[a] == cols[b]:
+                    yield Witness("S(ii)", (a, b))
+
+    def cond_r():
+        for x in f.x1:
+            if not any(not has(x, y)
+                       and all(has(w, y) for w in f.x1
+                               if w != x and rows[x] <= rows[w])
+                       for y in f.x2):
+                yield Witness("R(i)", (x,))
+        for y in f.x2:
+            if not any(not has(x, y)
+                       and all(has(x, z) for z in f.x2
+                               if z != y and cols[y] <= cols[z])
+                       for x in f.x1):
+                yield Witness("R(ii)", (y,))
+
+    return ConditionReport(
+        CheckReport.ok(), _report(cond_s(), all_witnesses),
+        _report(cond_r(), all_witnesses),
+        _report((Witness("Ti", p) for p in set_ti_failures(f)),
+                all_witnesses))
+
+
+def set_rho(g: Graph) -> Frame:
+    rows, cols = graph_rows_cols(g)
+
+    def classes(key):
+        first = {}
+        for v in g.vertices:
+            first.setdefault(key[v], v)
+        return (tuple(dict.fromkeys(first[key[v]] for v in g.vertices)),
+                {v: first[key[v]] for v in g.vertices})
+
+    x1, cls1 = classes(rows)
+    x2, cls2 = classes(cols)
+    r = frozenset((cls1[x], cls2[y]) for x in g.vertices for y in g.vertices
+                  if (x, y) not in g.edges)
+    return Frame(x1, x2, r, {"class1": cls1, "class2": cls2})
+
+
+def set_is_poset_graph(g: Graph, all_witnesses: bool = False) -> CheckReport:
+    rows, _ = graph_rows_cols(g)
+    e = g.edges
+
+    def gen():
+        for x in g.vertices:
+            if (x, x) not in e:
+                yield Witness("reflexive", (x,))
+        for x, y in sorted(e):
+            if x != y and (y, x) in e:
+                yield Witness("antisymmetric", (x, y))
+        for x, y in sorted(e):
+            for z in sorted(rows[y]):
+                if (x, z) not in e:
+                    yield Witness("transitive", (x, y, z))
+
+    return _report(gen(), all_witnesses)
+
+
+def _backtrack(slots, cands, consistent):
+    """First-found assignment of slots to candidates, each candidate used
+    once per sort, under the consistency test; None if there is none."""
+    assign = {}
+    used = set()
+
+    def bt(k):
+        if k == len(slots):
+            return True
+        slot = slots[k]
+        for b in cands[slot]:
+            if (slot[0], b) in used or not consistent(slot, b, assign):
+                continue
+            assign[slot] = b
+            used.add((slot[0], b))
+            if bt(k + 1):
+                return True
+            del assign[slot]
+            used.discard((slot[0], b))
+        return False
+
+    return assign if bt(0) else None
+
+
+def set_graph_iso(g1: Graph, g2: Graph):
+    if len(g1.vertices) != len(g2.vertices):
+        return None
+    r1, c1 = graph_rows_cols(g1)
+    r2, c2 = graph_rows_cols(g2)
+
+    def profile(rows, cols, e, v):
+        return len(rows[v]), len(cols[v]), (v, v) in e
+
+    cands = {(0, a): [b for b in g2.vertices
+                      if profile(r1, c1, g1.edges, a)
+                      == profile(r2, c2, g2.edges, b)]
+             for a in g1.vertices}
+    slots = sorted(cands, key=lambda s: (len(cands[s]),
+                                         g1.vertices.index(s[1])))
+
+    def consistent(slot, b, assign):
+        a = slot[1]
+        return all(((a, a2) in g1.edges) == ((b, b2) in g2.edges)
+                   and ((a2, a) in g1.edges) == ((b2, b) in g2.edges)
+                   for (_, a2), b2 in assign.items())
+
+    out = _backtrack(slots, cands, consistent)
+    return None if out is None else {a: b for (_, a), b in out.items()}
+
+
+def set_frame_iso(f1: Frame, f2: Frame):
+    if len(f1.x1) != len(f2.x1) or len(f1.x2) != len(f2.x2):
+        return None
+    r1, c1 = frame_rows_cols(f1)
+    r2, c2 = frame_rows_cols(f2)
+    cands = {(1, a): [b for b in f2.x1 if len(r1[a]) == len(r2[b])]
+             for a in f1.x1}
+    cands.update({(2, a): [b for b in f2.x2 if len(c1[a]) == len(c2[b])]
+                  for a in f1.x2})
+    slots = sorted(cands, key=lambda s: len(cands[s]))
+
+    def consistent(slot, b, assign):
+        sort, a = slot
+        return all(((a, y) in f1.r if sort == 1 else (y, a) in f1.r)
+                   == ((b, y2) in f2.r if sort == 1 else (y2, b) in f2.r)
+                   for (s2, y), y2 in assign.items() if s2 != sort)
+
+    out = _backtrack(slots, cands, consistent)
+    if out is None:
+        return None
+    return ({a: b for (s, a), b in out.items() if s == 1},
+            {a: b for (s, a), b in out.items() if s == 2})
+
+
+def set_validate_graph_morphism(m, all_witnesses: bool = False):
+    g, h = m.source, m.target
+    rs, cs = graph_rows_cols(g)
+    rt, ct = graph_rows_cols(h)
+    f = m.map
+
+    def gen():
+        for (a, b) in sorted(g.edges):
+            if (f[a], f[b]) not in h.edges:
+                yield Witness("i", (a, b))
+        for a in g.vertices:
+            for b in g.vertices:
+                if rs[a] <= rs[b] and not rt[f[a]] <= rt[f[b]]:
+                    yield Witness("ii", (a, b))
+                if cs[a] <= cs[b] and not ct[f[a]] <= ct[f[b]]:
+                    yield Witness("iii", (a, b))
+
+    return _report(gen(), all_witnesses)
+
+
+def set_validate_frame_morphism(m, all_witnesses: bool = False):
+    f, g = m.source, m.target
+    rs, cs = frame_rows_cols(f)
+    rt, ct = frame_rows_cols(g)
+    p1, p2 = m.map1, m.map2
+    h_t = set(set_h_set(g))
+
+    def gen():
+        for x in f.x1:
+            for y in f.x2:
+                if (p1[x], p2[y]) in g.r and (x, y) not in f.r:
+                    yield Witness("i", (x, y))
+        for x in f.x1:
+            for w in f.x1:
+                if rs[x] <= rs[w] and not rt[p1[x]] <= rt[p1[w]]:
+                    yield Witness("ii", (x, w))
+        for y in f.x2:
+            for z in f.x2:
+                if cs[y] <= cs[z] and not ct[p2[y]] <= ct[p2[z]]:
+                    yield Witness("iii", (y, z))
+        for (x, y) in set_h_set(f):
+            if (p1[x], p2[y]) not in h_t:
+                yield Witness("iv", (x, y))
+
+    return _report(gen(), all_witnesses)
+
+
+def all_graphs(n: int, reflexive_only: bool = False):
+    """Every relation on n vertices (every reflexive one, if asked)."""
+    vs = tuple(f"v{i}" for i in range(n))
+    loops = {(v, v) for v in vs} if reflexive_only else set()
+    cells = [(a, b) for a in vs for b in vs if (a, b) not in loops]
+    for mask in range(2 ** len(cells)):
+        yield Graph(vs, frozenset(loops | {c for k, c in enumerate(cells)
+                                           if mask >> k & 1}))

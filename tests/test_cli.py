@@ -191,9 +191,45 @@ BAD_GRAPHS = {
 }
 
 
+# Payloads of the wrong JSON shape: each exits 2 through InvalidInput.
+BAD_SHAPES = {
+    "top-level-array": [["a", "a"]],
+    "vertices-string": {"vertices": "ab", "edges": []},
+    "vertex-number": {"vertices": [1], "edges": []},
+    "edge-one-item": {"vertices": ["a"], "edges": [["a"]]},
+    "edge-three-items": {"vertices": ["a"], "edges": [["a", "a", "a"]]},
+    "edge-string": {"vertices": ["a"], "edges": ["aa"]},
+    "edges-object": {"vertices": ["a"], "edges": {"a": "a"}},
+    "meta-list": {"vertices": ["a"], "edges": [["a", "a"]], "meta": []},
+    "x1-string": {"x1": "a", "x2": ["b"], "r": []},
+    "r-pair-number": {"x1": ["a"], "x2": ["b"], "r": [["a", 2]]},
+    "covers-one-item": {"elements": ["0", "1"], "covers": [["0"]]},
+    "elements-object": {"elements": {"0": 1}, "covers": []},
+}
+
+
 class TestBadInput:
     """Malformed input exits 2 with one error line, not through an
     AssertionError."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_SHAPES))
+    def test_bad_payload_shape(self, tmp_path, capsys, name):
+        p = write_json(tmp_path, "s.json", BAD_SHAPES[name])
+        assert run(["check", p]) == 2
+        assert capsys.readouterr().err.startswith("error: InvalidInput: ")
+
+    @pytest.mark.parametrize("payload", [{"map": 5}, {"map": [["p0"]]},
+                                         {"map1": [], "map2": "ab"}, [1]])
+    def test_bad_morphism_shape(self, files, tmp_path, capsys, payload):
+        mor = write_json(tmp_path, "mor.json", payload)
+        assert run(["check-morphism", files["dual_n5"], files["dual_n5"],
+                    mor]) == 2
+        assert capsys.readouterr().err.startswith("error: InvalidInput: ")
+
+    def test_missing_morphism_file(self, files, capsys):
+        assert run(["check-morphism", files["dual_n5"], files["dual_n5"],
+                    files["dir"] + "/missing.json"]) == 2
+        assert capsys.readouterr().err.startswith("error: no such file")
 
     @pytest.mark.parametrize("name", sorted(BAD_GRAPHS))
     def test_bad_graph(self, tmp_path, capsys, name):
