@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (HNotPreserved, InvalidInput, IsoVerificationFailed,
-                     NotTiRS, NotWellDefined)
-from .lattice import CheckReport, Witness
+                     MismatchedCarrier, NotTiRS, NotWellDefined)
+from .lattice import CheckReport, Witness, mask_iso
 from .structures import (ConditionReport, Frame, Graph, _collect, bits,
                          check_frame, check_graph, h_set, subset)
 
@@ -60,13 +60,15 @@ class FrameMorphism:
 
 
 def compose_graph(m2: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
-    assert m1.target == m2.source
+    if m1.target != m2.source:
+        raise MismatchedCarrier("m1's target is not m2's source")
     return GraphMorphism(m1.source, m2.target,
                          {x: m2.map[m1.map[x]] for x in m1.map})
 
 
 def compose_frame(m2: FrameMorphism, m1: FrameMorphism) -> FrameMorphism:
-    assert m1.target == m2.source
+    if m1.target != m2.source:
+        raise MismatchedCarrier("m1's target is not m2's source")
     return FrameMorphism(m1.source, m2.target,
                          {x: m2.map1[m1.map1[x]] for x in m1.map1},
                          {y: m2.map2[m1.map2[y]] for y in m1.map2})
@@ -211,40 +213,9 @@ def graph_iso(g1: Graph, g2: Graph) -> Optional[dict]:
     """A relation-preserving-and-reflecting bijection g1 -> g2, or None.
     Deterministic first-found witness under degree-profile-pruned
     backtracking."""
-    if len(g1.vertices) != len(g2.vertices):
-        return None
-    s1, p1, s2, p2 = g1.succ, g1.pred, g2.succ, g2.pred
-
-    def profiles(g):
-        return [(s.bit_count(), p.bit_count(), s >> v & 1)
-                for v, (s, p) in enumerate(zip(g.succ, g.pred))]
-
-    prof2 = profiles(g2)
-    cands = [[b for b, q in enumerate(prof2) if q == p] for p in profiles(g1)]
-    order = sorted(range(len(cands)), key=lambda a: len(cands[a]))
-    assign = {}
-    used = set()
-
-    def bt(k):
-        if k == len(order):
-            return True
-        a = order[k]
-        for b in cands[a]:
-            if b in used:
-                continue
-            if all(s1[a] >> a2 & 1 == s2[b] >> b2 & 1
-                   and p1[a] >> a2 & 1 == p2[b] >> b2 & 1
-                   for a2, b2 in assign.items()):
-                assign[a] = b
-                used.add(b)
-                if bt(k + 1):
-                    return True
-                del assign[a]
-                used.discard(b)
-        return False
-
-    return {g1.vertices[a]: g2.vertices[b]
-            for a, b in assign.items()} if bt(0) else None
+    assign = mask_iso(g1.succ, g1.pred, g2.succ, g2.pred)
+    return None if assign is None else \
+        {g1.vertices[a]: g2.vertices[b] for a, b in assign.items()}
 
 
 def frame_iso(f1: Frame, f2: Frame) -> Optional[tuple[dict, dict]]:

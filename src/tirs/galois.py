@@ -2,36 +2,54 @@
 perfect lattice, and the two canonical-extension constructions.
 
 closed sets are generated as the intersection closure of the column extents
-plus the full first carrier.  The computed canonical extensions are
-verified to be onto lattice embeddings and dense; compactness holds in the
-finite case without a check.
+plus the full first carrier, on the frame's column masks.  The computed
+canonical extensions are verified to be onto lattice embeddings and dense;
+compactness holds in the finite case without a check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmbeddingNotOnto, IrreducibleMismatch, NotPerfect
+from .errors import (EmbeddingNotOnto, InvalidInput, IrreducibleMismatch,
+                     NotPerfect)
 from .lattice import (CheckReport, FiniteLattice, LatticeEmbedding, Witness,
-                      check_dense, filters_ideals, irreducibles,
-                      lattice_from_leq, pairwise_closure)
+                      _finish_lattice, bits, check_dense, irreducibles,
+                      pairwise_closure)
 from .ploscica import dual_graph, maximal_pairs
-from .structures import Frame
+from .structures import Frame, _names, subset
 from .functors import rho
+
+
+def _meet(masks, members, width: int) -> int:
+    """The AND of masks[i] over the indices i in members, starting from
+    the full mask of the given width."""
+    out = (1 << width) - 1
+    for i in members:
+        out &= masks[i]
+    return out
+
+
+def _indices(index, points, sort: str) -> list[int]:
+    try:
+        return [index[p] for p in points]
+    except KeyError as exc:
+        raise InvalidInput(f"{exc.args[0]!r} is not in {sort}") from None
 
 
 def galois_up(f: Frame, A) -> frozenset[str]:
     """R-up: the second-sort points related to every member of A."""
-    A = frozenset(A)
-    assert A <= set(f.x1)
-    return frozenset(y for y in f.x2 if all(f.has(a, y) for a in A))
+    return _names(_meet(f.rows, _indices(f.index1, A, "x1"), len(f.x2)), f.x2)
 
 
 def galois_down(f: Frame, B) -> frozenset[str]:
     """R-down: the first-sort points related to every member of B."""
-    B = frozenset(B)
-    assert B <= set(f.x2)
-    return frozenset(x for x in f.x1 if all(f.has(x, b) for b in B))
+    return _names(_meet(f.cols, _indices(f.index2, B, "x2"), len(f.x1)), f.x1)
+
+
+def _close(f: Frame, s: int) -> int:
+    """The Galois closure of the X1 mask s."""
+    return _meet(f.cols, bits(_meet(f.rows, bits(s), len(f.x2))), len(f.x1))
 
 
 def closure(f: Frame, A) -> frozenset[str]:
@@ -47,10 +65,11 @@ def inclusion_lattice(family):
     """A family of sets in (size, members) order, and the lattice it forms
     under inclusion with each set named by its members."""
     sets = sorted(family, key=lambda s: (len(s), sorted(s)))
-    names = [_set_name(s) for s in sets]
-    leq = [(names[i], names[j]) for i, si in enumerate(sets)
-           for j, sj in enumerate(sets) if si <= sj]
-    return sets, lattice_from_leq(names, leq)
+    index = {x: i for i, x in enumerate(frozenset().union(*sets))}
+    masks = [sum(1 << index[x] for x in s) for s in sets]
+    leq = frozenset((i, j) for i, si in enumerate(masks)
+                    for j, sj in enumerate(masks) if subset(si, sj))
+    return sets, _finish_lattice([_set_name(s) for s in sets], leq)
 
 
 @dataclass(frozen=True)
@@ -82,16 +101,26 @@ def closed_sets(f: Frame) -> GaloisLattice:
     Generated as the intersection closure of the column extents together
     with the full carrier; each member is verified to be Galois-closed.
     """
-    family = pairwise_closure({frozenset(f.x1)} | {f.col(y) for y in f.x2},
-                              frozenset.__and__)
+    family = pairwise_closure({(1 << len(f.x1)) - 1, *f.cols}, int.__and__)
     for s in family:
-        assert closure(f, s) == s, f"generated set {sorted(s)} is not closed"
+        if _close(f, s) != s:
+            raise AssertionError(f"generated set {sorted(_names(s, f.x1))} "
+                                 f"is not closed")
 
-    sets, lat = inclusion_lattice(family)
+    sets, lat = inclusion_lattice(_names(s, f.x1) for s in family)
 
-    j = frozenset(_set_name(closure(f, {x})) for x in f.x1)
+    j = frozenset(_set_name(_names(_close(f, 1 << x), f.x1))
+                  for x in range(len(f.x1)))
     m = frozenset(_set_name(f.col(y)) for y in f.x2)
     return GaloisLattice(f, tuple(sets), lat, j, m)
+
+
+def _closed_index(gl: GaloisLattice, s: frozenset[str], image_of: str):
+    """The index of the closed set s in gl's lattice view."""
+    i = gl.as_lattice._index.get(_set_name(s))
+    if i is None or gl.closed_sets[i] != s:
+        raise AssertionError(f"image of {image_of} is not a closed set")
+    return i
 
 
 def irreducibles_of_galois(gl: GaloisLattice):
@@ -109,14 +138,18 @@ def irreducibles_of_galois(gl: GaloisLattice):
 def _generation_failures(C: FiniteLattice):
     """("join", a) for each element a that is not the join of the
     join-irreducibles below it, and ("meet", a) dually, in index order."""
-    j, m = irreducibles(C)
-    ji = [C.index(x) for x in j]
-    mi = [C.index(x) for x in m]
+    jmask, mmask = _irreducible_masks(C)
     for a in range(C.n):
-        if C.join_of([x for x in ji if C.le(x, a)]) != a:
+        if C.join_of(bits(C.downs[a] & jmask)) != a:
             yield "join", a
-        if C.meet_of([x for x in mi if C.le(a, x)]) != a:
+        if C.meet_of(bits(C.ups[a] & mmask)) != a:
             yield "meet", a
+
+
+def _irreducible_masks(C: FiniteLattice) -> tuple[int, int]:
+    """The join- and meet-irreducibles of C as index masks."""
+    return tuple(sum(1 << C.index(x) for x in names)
+                 for names in irreducibles(C))
 
 
 def check_perfect(C: FiniteLattice) -> CheckReport:
@@ -132,11 +165,11 @@ def frame_of_perfect(C: FiniteLattice) -> Frame:
     rep = check_perfect(C)
     if not rep:
         raise NotPerfect(rep.witnesses[0].elements[0])
-    j, m = irreducibles(C)
-    x1 = tuple(x for x in C.elements if x in j)
-    x2 = tuple(x for x in C.elements if x in m)
-    r = frozenset((a, b) for a in x1 for b in x2 if C.le_names(a, b))
-    return Frame(x1, x2, r)
+    jmask, mmask = _irreducible_masks(C)
+    r = frozenset((C.name(a), C.name(b))
+                  for a in bits(jmask) for b in bits(C.ups[a] & mmask))
+    return Frame(tuple(C.name(a) for a in bits(jmask)),
+                 tuple(C.name(b) for b in bits(mmask)), r)
 
 
 def canext_tandem(L: FiniteLattice):
@@ -155,15 +188,12 @@ def canext_tandem(L: FiniteLattice):
     pairs = maximal_pairs(L)
     names = [f"p{i}" for i in range(len(pairs))]
 
-    emb_map = []
-    for a in range(L.n):
-        s = frozenset(cls1[names[i]] for i, p in enumerate(pairs)
-                      if a in p.ones)
-        name = _set_name(s)
-        if s not in gl.closed_sets:
-            raise AssertionError(f"image of {L.name(a)} is not a closed set")
-        emb_map.append(gl.as_lattice.index(name))
-    emb = LatticeEmbedding(L, gl.as_lattice, tuple(emb_map))
+    emb_map = tuple(
+        _closed_index(gl, frozenset(cls1[names[i]]
+                                    for i, p in enumerate(pairs)
+                                    if L.le(p.x, a)), L.name(a))
+        for a in range(L.n))
+    emb = LatticeEmbedding(L, gl.as_lattice, emb_map)
     _verify_canonical(emb)
     return emb, gl
 
@@ -175,24 +205,19 @@ def canext_polarity(L: FiniteLattice):
 
     Returns (embedding, GaloisLattice over the polarity frame).
     """
-    filters, ideals = filters_ideals(L)
-    fnames = [f"F{i}" for i in range(len(filters))]
-    inames = [f"I{i}" for i in range(len(ideals))]
+    # F_i is the filter up(i) and I_j the ideal down(j); the two meet,
+    # up[i] & down[j] != 0, iff i <= j
+    fnames = [f"F{i}" for i in range(L.n)]
+    inames = [f"I{i}" for i in range(L.n)]
     r = frozenset((fnames[i], inames[j])
-                  for i, F in enumerate(filters)
-                  for j, I in enumerate(ideals) if F & I)
+                  for i in range(L.n) for j in bits(L.ups[i]))
     frame = Frame(tuple(fnames), tuple(inames), r)
     gl = closed_sets(frame)
 
-    emb_map = []
-    for a in range(L.n):
-        up_a = frozenset(L.name(b) for b in L.up(a))
-        gen = frozenset({fnames[filters.index(up_a)]})
-        s = closure(frame, gen)
-        name = _set_name(s)
-        assert s in gl.closed_sets
-        emb_map.append(gl.as_lattice.index(name))
-    emb = LatticeEmbedding(L, gl.as_lattice, tuple(emb_map))
+    emb_map = tuple(_closed_index(gl, _names(_close(frame, 1 << a), frame.x1),
+                                  L.name(a))
+                    for a in range(L.n))
+    emb = LatticeEmbedding(L, gl.as_lattice, emb_map)
     _verify_canonical(emb)
     return emb, gl
 

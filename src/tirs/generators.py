@@ -51,6 +51,11 @@ class GenSpec:
                                f"size {_EXHAUSTIVE_MAX[self.kind]}")
 
 
+def _expect_kind(spec: GenSpec, kinds):
+    if spec.kind not in kinds:
+        raise InvalidInput(f"not a {' or '.join(kinds)} spec: {spec.kind}")
+
+
 def _random_strict_order(n: int, rng: random.Random) -> set[tuple[int, int]]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
@@ -82,7 +87,7 @@ def _enumerate_strict_orders(n: int):
 def gen_poset(spec: GenSpec) -> list[Graph]:
     """Posets as reflexive transitive graphs.  Exhaustive mode enumerates
     all posets of the given size up to isomorphism."""
-    assert spec.kind == "poset"
+    _expect_kind(spec, ("poset",))
     if spec.exhaustive:
         out: list[Graph] = []
         for rel in _enumerate_strict_orders(spec.size):
@@ -128,7 +133,7 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
     Exhaustive mode enumerates all lattices of the size up to isomorphism.
     Raises SizeUnreachable if the target size cannot be hit.
     """
-    assert spec.kind in ("lattice", "distributive-lattice")
+    _expect_kind(spec, ("lattice", "distributive-lattice"))
     if spec.exhaustive:
         out: list[FiniteLattice] = []
         names = [f"e{i}" for i in range(spec.size)]
@@ -167,7 +172,7 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
 def gen_rs_frame(spec: GenSpec) -> list[Frame]:
     """RS frames with both sides of the given size: rejection-sampled random
     relations, or (exhaustive) all relation patterns that pass RS."""
-    assert spec.kind == "rs-frame"
+    _expect_kind(spec, ("rs-frame",))
     x1 = tuple(f"x{i}" for i in range(spec.size))
     x2 = tuple(f"y{i}" for i in range(spec.size))
     cells = [(a, b) for a in x1 for b in x2]
@@ -197,7 +202,7 @@ def gen_rs_frame(spec: GenSpec) -> list[Frame]:
 def gen_tirs_graph(spec: GenSpec) -> list[Graph]:
     """TiRS graphs: dual graphs of generated lattices plus generated
     posets (every poset is a TiRS graph)."""
-    assert spec.kind == "tirs-graph"
+    _expect_kind(spec, ("tirs-graph",))
     posets = gen_poset(GenSpec("poset", spec.size, spec.seed, spec.count,
                                spec.exhaustive))
     out = list(posets)

@@ -2,7 +2,9 @@
 filters/ideals, embeddings, density/compactness/distributivity checks.
 
 Elements are referenced internally by index (input order); all public output
-uses names.  Every value is immutable after construction.
+uses names.  Every value is immutable after construction.  The order is also
+held as int bitmasks over element indices, built once per lattice: the
+tables, covers, irreducibles and the iso search run on those masks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ class CheckReport:
     witnesses: tuple[Witness, ...] = ()
 
     def __post_init__(self):
-        assert self.verdict == (not self.witnesses)
+        if self.verdict != (not self.witnesses):
+            raise ValueError("a report fails exactly when it has witnesses")
 
     def __bool__(self):
         return self.verdict
@@ -51,7 +54,9 @@ class FiniteLattice:
 
     ``leq`` holds index pairs (i, j) with i <= j, reflexive-transitively
     closed.  ``join``/``meet`` are full binary tables indexed by element
-    index.
+    index.  The order is also held as index masks built at construction
+    (not fields, so equality, hashing and JSON read ``leq`` alone):
+    ups[a] has bit b set iff a <= b, and downs[b] is the transpose.
     """
 
     elements: tuple[str, ...]
@@ -63,8 +68,9 @@ class FiniteLattice:
     _index: dict = field(repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index",
-                           {name: i for i, name in enumerate(self.elements)})
+        ups, downs = order_masks(len(self.elements), self.leq)
+        vars(self).update(ups=ups, downs=downs, _index={
+            name: i for i, name in enumerate(self.elements)})
 
     # -- element access -------------------------------------------------
 
@@ -79,30 +85,29 @@ class FiniteLattice:
         return self.elements[i]
 
     def le(self, a: int, b: int) -> bool:
-        return (a, b) in self.leq
+        return self.ups[a] >> b & 1 == 1
 
     def le_names(self, a: str, b: str) -> bool:
         return self.le(self.index(a), self.index(b))
 
     def up(self, a: int) -> frozenset[int]:
         """Principal filter of a (indices)."""
-        return frozenset(b for b in range(self.n) if self.le(a, b))
+        return frozenset(bits(self.ups[a]))
 
     def down(self, a: int) -> frozenset[int]:
         """Principal ideal of a (indices)."""
-        return frozenset(b for b in range(self.n) if self.le(b, a))
+        return frozenset(bits(self.downs[a]))
 
     def lower_covers(self, a: int) -> list[int]:
-        below = [b for b in range(self.n) if self.le(b, a) and b != a]
-        return [b for b in below
-                if not any(self.le(b, c) and self.le(c, a) and c not in (a, b)
-                           for c in below)]
+        # c < a is covered by a iff nothing else lies in the interval [c, a]
+        down_a = self.downs[a]
+        return [c for c in bits(down_a & ~(1 << a))
+                if self.ups[c] & down_a == 1 << a | 1 << c]
 
     def upper_covers(self, a: int) -> list[int]:
-        above = [b for b in range(self.n) if self.le(a, b) and b != a]
-        return [b for b in above
-                if not any(self.le(a, c) and self.le(c, b) and c not in (a, b)
-                           for c in above)]
+        up_a = self.ups[a]
+        return [c for c in bits(up_a & ~(1 << a))
+                if up_a & self.downs[c] == 1 << a | 1 << c]
 
     def covers(self) -> list[tuple[int, int]]:
         """Strict cover pairs (a, b) with a covered by b."""
@@ -159,26 +164,73 @@ class LatticeEmbedding:
         return CheckReport.ok() if not bad else CheckReport.fail(bad)
 
 
+def bits(mask: int):
+    """The indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def order_masks(n: int, pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The row masks ups and column masks downs of a relation on range(n):
+    ups[a] has bit b set, and downs[b] bit a, iff (a, b) is related."""
+    ups, downs = [0] * n, [0] * n
+    for a, b in pairs:
+        ups[a] |= 1 << b
+        downs[b] |= 1 << a
+    return tuple(ups), tuple(downs)
+
+
+def mask_iso(rows1, cols1, rows2, cols2) -> Optional[dict[int, int]]:
+    """The first bijection a -> b, found by backtracking, under which
+    rows1/cols1 and rows2/cols2 agree on the indices assigned so far, or
+    None.  Candidates are pruned by (row size, column size, diagonal bit)
+    and the indices with the fewest candidates are assigned first."""
+    if len(rows1) != len(rows2):
+        return None
+
+    def profiles(rows, cols):
+        return [(r.bit_count(), c.bit_count(), r >> i & 1)
+                for i, (r, c) in enumerate(zip(rows, cols))]
+
+    prof2 = profiles(rows2, cols2)
+    cands = [[b for b, q in enumerate(prof2) if q == p]
+             for p in profiles(rows1, cols1)]
+    order = sorted(range(len(cands)), key=lambda a: len(cands[a]))
+    assign: dict[int, int] = {}
+    used = set()
+
+    def bt(k):
+        if k == len(order):
+            return True
+        a = order[k]
+        for b in cands[a]:
+            if b in used:
+                continue
+            if all(rows1[a] >> a2 & 1 == rows2[b] >> b2 & 1
+                   and cols1[a] >> a2 & 1 == cols2[b] >> b2 & 1
+                   for a2, b2 in assign.items()):
+                assign[a] = b
+                used.add(b)
+                if bt(k + 1):
+                    return True
+                del assign[a]
+                used.discard(b)
+        return False
+
+    return assign if bt(0) else None
+
+
 def transitive_closure(n: int, pairs) -> set[tuple[int, int]]:
-    """The transitive closure of a relation on range(n)."""
-    rel = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for c in range(n):
-                if (b, c) in rel and (a, c) not in rel:
-                    rel.add((a, c))
-                    changed = True
-    return rel
-
-
-def _find_cycle(n, rel):
-    for a in range(n):
-        for b in range(n):
-            if a != b and (a, b) in rel and (b, a) in rel:
-                return (a, b)
-    return None
+    """Transitive closure of a relation on range(n): Warshall on row masks."""
+    rows = list(order_masks(n, pairs)[0])
+    for k in range(n):
+        bit, row_k = 1 << k, rows[k]
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= row_k
+    return {(a, b) for a in range(n) for b in bits(rows[a])}
 
 
 def lattice_from_leq(elements, leq_pairs) -> FiniteLattice:
@@ -213,44 +265,50 @@ def build_lattice(elements, covers) -> FiniteLattice:
 
 
 def _finish_lattice(elements, rel) -> FiniteLattice:
+    """The lattice of a reflexive, transitive relation on element indices.
+
+    join[a][b] is the element whose up-mask is ups[a] & ups[b], meet[a][b]
+    the one whose down-mask is downs[a] & downs[b].  Errors name the
+    lowest cycle pair, or the first pair in scan order without a join or a
+    meet (join first)."""
     n = len(elements)
-
-    def le(a, b):
-        return (a, b) in rel
-
-    cyc = _find_cycle(n, rel)
-    if cyc is not None:
-        raise NotAPartialOrder(tuple(elements[i] for i in cyc))
+    ups, downs = order_masks(n, rel)
+    for a in range(n):
+        cyc = ups[a] & downs[a] & ~(1 << a)
+        if cyc:
+            raise NotAPartialOrder((elements[a], elements[next(bits(cyc))]))
     if n == 0:
         raise NoBounds("empty carrier")
 
-    join = [[None] * n for _ in range(n)]
-    meet = [[None] * n for _ in range(n)]
+    # ups and downs are injective on a reflexive antisymmetric relation
+    by_up = {m: c for c, m in enumerate(ups)}
+    by_down = {m: c for c, m in enumerate(downs)}
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    # a pair lacking a join or meet is found with its mirror image, so the
+    # first failure of the full scan lies at or above the diagonal
     for a in range(n):
-        for b in range(n):
-            ubs = [c for c in range(n) if le(a, c) and le(b, c)]
-            least = [c for c in ubs if all(le(c, d) for d in ubs)]
-            if len(least) != 1:
+        for b in range(a, n):
+            j = by_up.get(ups[a] & ups[b])
+            if j is None:
                 raise NotALattice((elements[a], elements[b]), "join")
-            join[a][b] = least[0]
-            lbs = [c for c in range(n) if le(c, a) and le(c, b)]
-            greatest = [c for c in lbs if all(le(d, c) for d in lbs)]
-            if len(greatest) != 1:
+            m = by_down.get(downs[a] & downs[b])
+            if m is None:
                 raise NotALattice((elements[a], elements[b]), "meet")
-            meet[a][b] = greatest[0]
+            join[a][b] = join[b][a] = j
+            meet[a][b] = meet[b][a] = m
 
-    bots = [a for a in range(n) if all(le(a, b) for b in range(n))]
-    tops = [a for a in range(n) if all(le(b, a) for b in range(n))]
-    if not bots or not tops:
+    bot, top = by_up.get((1 << n) - 1), by_down.get((1 << n) - 1)
+    if bot is None or top is None:
         raise NoBounds("missing bottom or top")
 
     return FiniteLattice(
         elements=tuple(elements),
         leq=frozenset(rel),
-        join=tuple(tuple(r) for r in join),
-        meet=tuple(tuple(r) for r in meet),
-        bot=bots[0],
-        top=tops[0],
+        join=tuple(map(tuple, join)),
+        meet=tuple(map(tuple, meet)),
+        bot=bot,
+        top=top,
     )
 
 
@@ -338,37 +396,6 @@ def lattice_iso(L1: FiniteLattice, L2: FiniteLattice) -> Optional[dict]:
     Order isomorphisms of lattices are lattice isomorphisms, so matching the
     full leq relations suffices.  Backtracking with up/down-set size pruning.
     """
-    if L1.n != L2.n:
-        return None
-    n = L1.n
-
-    prof1, prof2 = ([(len(L.up(a)), len(L.down(a))) for a in range(n)]
-                    for L in (L1, L2))
-    cands = {a: [b for b in range(n) if prof2[b] == prof1[a]]
-             for a in range(n)}
-    order = sorted(range(n), key=lambda a: len(cands[a]))
-    assign: dict[int, int] = {}
-    used = set()
-
-    def bt(k):
-        if k == n:
-            return True
-        a = order[k]
-        for b in cands[a]:
-            if b in used:
-                continue
-            ok = all(((a, a2) in L1.leq) == ((b, b2) in L2.leq)
-                     and ((a2, a) in L1.leq) == ((b2, b) in L2.leq)
-                     for a2, b2 in assign.items())
-            if ok:
-                assign[a] = b
-                used.add(b)
-                if bt(k + 1):
-                    return True
-                del assign[a]
-                used.discard(b)
-        return False
-
-    if bt(0):
-        return {L1.name(a): L2.name(b) for a, b in assign.items()}
-    return None
+    assign = mask_iso(L1.ups, L1.downs, L2.ups, L2.downs)
+    return None if assign is None else \
+        {L1.name(a): L2.name(b) for a, b in assign.items()}

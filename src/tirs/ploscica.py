@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateLattice, MismatchedCarrier
 from .lattice import FiniteLattice
-from .structures import Graph
+from .structures import Graph, subset
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,11 @@ def maximal_pairs(L: FiniteLattice) -> list[MaximalPair]:
     """
     if L.n < 2:
         raise DegenerateLattice("need at least two elements")
-    out = []
-    for x in range(L.n):
-        for y in range(L.n):
-            if L.le(x, y):
-                continue
-            if not all(L.le(xp, y) for xp in range(L.n)
-                       if L.le(xp, x) and xp != x):
-                continue
-            if not all(L.le(x, yp) for yp in range(L.n)
-                       if L.le(y, yp) and yp != y):
-                continue
-            out.append(MaximalPair(L, x, y))
-    return out
+    ups, downs = L.ups, L.downs
+    return [MaximalPair(L, x, y) for x in range(L.n) for y in range(L.n)
+            if not ups[x] >> y & 1
+            and subset(downs[x] & ~(1 << x), downs[y])
+            and subset(ups[y] & ~(1 << y), ups[x])]
 
 
 def mph_leq(f: MaximalPair, g: MaximalPair) -> bool:
@@ -65,24 +57,24 @@ def mph_leq(f: MaximalPair, g: MaximalPair) -> bool:
     ones(g)."""
     if f.lattice is not g.lattice and f.lattice != g.lattice:
         raise MismatchedCarrier("pairs over different lattices")
-    return f.ones <= g.ones
+    return subset(f.lattice.ups[f.x], g.lattice.ups[g.x])
 
 
 def dual_graph(L: FiniteLattice) -> Graph:
     """The dual graph of L: vertices are maximal pairs (named p0, p1, ... in
     sorted generator order), with an edge (f, g) iff ones(f) and zeros(g)
-    are disjoint.
+    are disjoint, that is up(x_f) & down(y_g) is the empty mask.
 
     This empty-intersection form equals the pointwise order f(a) <= g(a)
     on the shared domain; the tests check the two against each other.
     """
     pairs = maximal_pairs(L)
     names = [f"p{i}" for i in range(len(pairs))]
-    ones = [p.ones for p in pairs]
-    zeros = [p.zeros for p in pairs]
+    ones = [L.ups[p.x] for p in pairs]
+    zeros = [L.downs[p.y] for p in pairs]
     edges = frozenset((names[i], names[j])
                       for i in range(len(pairs)) for j in range(len(pairs))
-                      if not (ones[i] & zeros[j]))
+                      if not ones[i] & zeros[j])
     meta = {names[i]: {"ones": p.ones_names(), "zeros": p.zeros_names()}
             for i, p in enumerate(pairs)}
     return Graph(tuple(names), edges, meta)

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotPerfect, NotRS
-from .lattice import CheckReport, FiniteLattice, Witness
-from .structures import Frame, _collect, check_frame, ti_failures
-from .galois import check_perfect, closed_sets, frame_of_perfect
+from .lattice import CheckReport, FiniteLattice, Witness, bits
+from .structures import Frame, _collect, check_frame, subset, ti_failures
+from .galois import (_irreducible_masks, check_perfect, closed_sets,
+                     frame_of_perfect)
 from .functors import frame_iso
 
 
@@ -39,33 +40,20 @@ class PTiWitness:
 
 
 def _pti_pairs(C: FiniteLattice, all_witnesses: bool):
-    from .lattice import irreducibles
-
-    j, m = irreducibles(C)
-    ji = sorted(C.index(e) for e in j)
-    mi = sorted(C.index(e) for e in m)
+    ups, downs = C.ups, C.downs
+    jmask, mmask = _irreducible_masks(C)
+    # clause (iii) asks below_w[w] inside down(z), clause (iv) above_z[z]
+    # inside up(w)
+    below_w = {w: downs[w] & jmask & ~(1 << w) for w in bits(jmask)}
+    above_z = {z: ups[z] & mmask & ~(1 << z) for z in bits(mmask)}
     witnesses = []
     failures = []
-    for x in ji:
-        for y in mi:
-            if C.le(x, y):
-                continue
-            found = None
-            for w in ji:
-                if found:
-                    break
-                if not C.le(w, x):
-                    continue
-                for z in mi:
-                    if not C.le(y, z) or C.le(w, z):
-                        continue
-                    if not all(C.le(u, z) for u in ji
-                               if C.le(u, w) and u != w):
-                        continue
-                    if all(C.le(w, v) for v in mi
-                           if C.le(z, v) and v != z):
-                        found = (w, z)
-                        break
+    for x in bits(jmask):
+        for y in bits(mmask & ~ups[x]):
+            found = next(((w, z) for w in bits(downs[x] & jmask)
+                          for z in bits(ups[y] & mmask & ~ups[w])
+                          if subset(below_w[w], downs[z])
+                          and subset(above_z[z], ups[w])), None)
             if found:
                 witnesses.append(PTiWitness(C.name(x), C.name(y),
                                             C.name(found[0]),

@@ -15,15 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import InvalidInput
-from .lattice import CheckReport, Witness
-
-
-def bits(mask: int):
-    """The indices of the set bits of mask, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .lattice import CheckReport, Witness, bits
 
 
 def _names(mask: int, names) -> frozenset[str]:

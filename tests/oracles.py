@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import itertools
 
+from tirs.errors import NoBounds, NotALattice, NotAPartialOrder, NotPerfect
+from tirs.galois import GaloisLattice
 from tirs.lattice import CheckReport, FiniteLattice, Witness
+from tirs.pti import PTiWitness
 from tirs.structures import ConditionReport, Frame, Graph
 
 
@@ -429,3 +432,255 @@ def all_graphs(n: int, reflexive_only: bool = False):
     for mask in range(2 ** len(cells)):
         yield Graph(vs, frozenset(loops | {c for k, c in enumerate(cells)
                                            if mask >> k & 1}))
+
+
+# -- the lattice kernel on pair sets ---------------------------------------
+#
+# The set-based bodies the order masks of FiniteLattice replaced: every
+# order test is a tuple lookup in L.leq.
+
+
+def _le(L: FiniteLattice):
+    return lambda a, b: (a, b) in L.leq
+
+
+def set_transitive_closure(n: int, pairs) -> set[tuple[int, int]]:
+    rel = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(rel):
+            for c in range(n):
+                if (b, c) in rel and (a, c) not in rel:
+                    rel.add((a, c))
+                    changed = True
+    return rel
+
+
+def set_finish_lattice(elements, rel) -> FiniteLattice:
+    """The lattice of a closed index relation by the upper-bound scan."""
+    n = len(elements)
+
+    def le(a, b):
+        return (a, b) in rel
+
+    for a in range(n):
+        for b in range(n):
+            if a != b and le(a, b) and le(b, a):
+                raise NotAPartialOrder((elements[a], elements[b]))
+    if n == 0:
+        raise NoBounds("empty carrier")
+
+    join = [[None] * n for _ in range(n)]
+    meet = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ubs = [c for c in range(n) if le(a, c) and le(b, c)]
+            least = [c for c in ubs if all(le(c, d) for d in ubs)]
+            if len(least) != 1:
+                raise NotALattice((elements[a], elements[b]), "join")
+            join[a][b] = least[0]
+            lbs = [c for c in range(n) if le(c, a) and le(c, b)]
+            greatest = [c for c in lbs if all(le(d, c) for d in lbs)]
+            if len(greatest) != 1:
+                raise NotALattice((elements[a], elements[b]), "meet")
+            meet[a][b] = greatest[0]
+
+    bots = [a for a in range(n) if all(le(a, b) for b in range(n))]
+    tops = [a for a in range(n) if all(le(b, a) for b in range(n))]
+    if not bots or not tops:
+        raise NoBounds("missing bottom or top")
+    return FiniteLattice(tuple(elements), frozenset(rel),
+                         tuple(map(tuple, join)), tuple(map(tuple, meet)),
+                         bots[0], tops[0])
+
+
+def set_lower_covers(L: FiniteLattice, a: int) -> list[int]:
+    le = _le(L)
+    below = [b for b in range(L.n) if le(b, a) and b != a]
+    return [b for b in below
+            if not any(le(b, c) and le(c, a) and c not in (a, b)
+                       for c in below)]
+
+
+def set_upper_covers(L: FiniteLattice, a: int) -> list[int]:
+    le = _le(L)
+    above = [b for b in range(L.n) if le(a, b) and b != a]
+    return [b for b in above
+            if not any(le(a, c) and le(c, b) and c not in (a, b)
+                       for c in above)]
+
+
+def set_covers(L: FiniteLattice) -> list[tuple[int, int]]:
+    return [(a, b) for b in range(L.n) for a in set_lower_covers(L, b)]
+
+
+def set_irreducibles(L: FiniteLattice):
+    j = frozenset(L.name(a) for a in range(L.n)
+                  if len(set_lower_covers(L, a)) == 1)
+    m = frozenset(L.name(a) for a in range(L.n)
+                  if len(set_upper_covers(L, a)) == 1)
+    return j, m
+
+
+def set_maximal_pairs(L: FiniteLattice) -> list[tuple[int, int]]:
+    """The generators (x, y) of the maximal pairs, in (x, y) order."""
+    le = _le(L)
+    return [(x, y) for x in range(L.n) for y in range(L.n)
+            if not le(x, y)
+            and all(le(xp, y) for xp in range(L.n) if le(xp, x) and xp != x)
+            and all(le(x, yp) for yp in range(L.n) if le(y, yp) and yp != y)]
+
+
+def set_galois_up(f: Frame, A) -> frozenset[str]:
+    return frozenset(y for y in f.x2 if all((a, y) in f.r for a in A))
+
+
+def set_galois_down(f: Frame, B) -> frozenset[str]:
+    return frozenset(x for x in f.x1 if all((x, b) in f.r for b in B))
+
+
+def set_closure(f: Frame, A) -> frozenset[str]:
+    return set_galois_down(f, set_galois_up(f, A))
+
+
+def _set_name(s) -> str:
+    return "{" + ",".join(sorted(s)) + "}"
+
+
+def set_closed_sets(f: Frame) -> GaloisLattice:
+    """The intersection closure of the column extents on frozensets, and
+    the inclusion lattice on subset tests."""
+    family = {frozenset(f.x1)} | {set_galois_down(f, {y}) for y in f.x2}
+    todo = list(family)
+    while todo:
+        a = todo.pop()
+        for b in list(family):
+            if a & b not in family:
+                family.add(a & b)
+                todo.append(a & b)
+    assert all(set_closure(f, s) == s for s in family)
+    sets = sorted(family, key=lambda s: (len(s), sorted(s)))
+    names = [_set_name(s) for s in sets]
+    leq = frozenset((i, j) for i, si in enumerate(sets)
+                    for j, sj in enumerate(sets) if si <= sj)
+    j = frozenset(_set_name(set_closure(f, {x})) for x in f.x1)
+    m = frozenset(_set_name(set_galois_down(f, {y})) for y in f.x2)
+    return GaloisLattice(f, tuple(sets), set_finish_lattice(names, leq), j, m)
+
+
+def set_polarity_frame(L: FiniteLattice) -> Frame:
+    """Filters F_i, ideals I_j, related when they intersect."""
+    ups = [frozenset(b for b in range(L.n) if (a, b) in L.leq)
+           for a in range(L.n)]
+    downs = [frozenset(b for b in range(L.n) if (b, a) in L.leq)
+             for a in range(L.n)]
+    return Frame(tuple(f"F{i}" for i in range(L.n)),
+                 tuple(f"I{j}" for j in range(L.n)),
+                 frozenset((f"F{i}", f"I{j}") for i in range(L.n)
+                           for j in range(L.n) if ups[i] & downs[j]))
+
+
+def set_generation_failures(C: FiniteLattice) -> list[tuple[str, int]]:
+    le = _le(C)
+    j, m = set_irreducibles(C)
+    ji = [C.index(x) for x in j]
+    mi = [C.index(x) for x in m]
+    out = []
+    for a in range(C.n):
+        if C.join_of([x for x in ji if le(x, a)]) != a:
+            out.append(("join", a))
+        if C.meet_of([x for x in mi if le(a, x)]) != a:
+            out.append(("meet", a))
+    return out
+
+
+def set_frame_of_perfect(C: FiniteLattice) -> Frame:
+    failures = set_generation_failures(C)
+    if failures:
+        raise NotPerfect(C.name(failures[0][1]))
+    j, m = set_irreducibles(C)
+    x1 = tuple(x for x in C.elements if x in j)
+    x2 = tuple(x for x in C.elements if x in m)
+    return Frame(x1, x2, frozenset(
+        (a, b) for a in x1 for b in x2 if (C.index(a), C.index(b)) in C.leq))
+
+
+def set_pti_pairs(C: FiniteLattice, all_witnesses: bool):
+    le = _le(C)
+    j, m = set_irreducibles(C)
+    ji = sorted(C.index(e) for e in j)
+    mi = sorted(C.index(e) for e in m)
+    witnesses = []
+    failures = []
+    for x in ji:
+        for y in mi:
+            if le(x, y):
+                continue
+            found = None
+            for w in ji:
+                if found:
+                    break
+                if not le(w, x):
+                    continue
+                for z in mi:
+                    if not le(y, z) or le(w, z):
+                        continue
+                    if not all(le(u, z) for u in ji if le(u, w) and u != w):
+                        continue
+                    if all(le(w, v) for v in mi if le(z, v) and v != z):
+                        found = (w, z)
+                        break
+            if found:
+                witnesses.append(PTiWitness(C.name(x), C.name(y),
+                                            C.name(found[0]),
+                                            C.name(found[1]), "satisfied"))
+            else:
+                witnesses.append(PTiWitness(C.name(x), C.name(y), None, None,
+                                            "unsatisfiable-pair"))
+                failures.append(Witness("PTi", (C.name(x), C.name(y))))
+                if not all_witnesses:
+                    return witnesses, failures
+    return witnesses, failures
+
+
+def set_lattice_iso(L1: FiniteLattice, L2: FiniteLattice):
+    """First-found order isomorphism, pruned by up/down-set sizes, with the
+    same candidate order as the library's search."""
+    if L1.n != L2.n:
+        return None
+    n = L1.n
+
+    def profile(L):
+        le = _le(L)
+        return [(sum(le(a, b) for b in range(n)),
+                 sum(le(b, a) for b in range(n))) for a in range(n)]
+
+    prof1, prof2 = profile(L1), profile(L2)
+    cands = {a: [b for b in range(n) if prof2[b] == prof1[a]]
+             for a in range(n)}
+    order = sorted(range(n), key=lambda a: len(cands[a]))
+    assign: dict[int, int] = {}
+    used = set()
+
+    def bt(k):
+        if k == n:
+            return True
+        a = order[k]
+        for b in cands[a]:
+            if b in used:
+                continue
+            if all(((a, a2) in L1.leq) == ((b, b2) in L2.leq)
+                   and ((a2, a) in L1.leq) == ((b2, b) in L2.leq)
+                   for a2, b2 in assign.items()):
+                assign[a] = b
+                used.add(b)
+                if bt(k + 1):
+                    return True
+                del assign[a]
+                used.discard(b)
+        return False
+
+    if bt(0):
+        return {L1.name(a): L2.name(b) for a, b in assign.items()}
+    return None

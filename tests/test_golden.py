@@ -16,14 +16,36 @@ import pytest
 from tirs import fixtures
 from tirs.cli import run
 from tirs.io import save_structure
+from tirs.lattice import build_lattice
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
+
+
+def b3_shuffled():
+    """B_3 with its elements and covers listed in a fixed shuffled order,
+    not a linear extension."""
+    return build_lattice(
+        ["ab", "c", "1", "a", "bc", "0", "ac", "b"],
+        [("c", "bc"), ("ab", "1"), ("0", "b"), ("a", "ac"), ("bc", "1"),
+         ("b", "ab"), ("0", "c"), ("ac", "1"), ("a", "ab"), ("c", "ac"),
+         ("0", "a"), ("b", "bc")])
+
+
+def grid3_shuffled():
+    """The 3x3 grid C_3 x C_3, elements ij, in a fixed shuffled order."""
+    return build_lattice(
+        ["12", "00", "21", "02", "11", "20", "01", "22", "10"],
+        [("11", "21"), ("01", "02"), ("20", "21"), ("10", "11"),
+         ("12", "22"), ("00", "10"), ("02", "12"), ("21", "22"),
+         ("01", "11"), ("10", "20"), ("11", "12"), ("00", "01")])
+
 
 FIXTURES = {
     "C2": fixtures.c2, "C3": fixtures.c3, "B2": fixtures.b2,
     "M3": fixtures.m3, "N5": fixtures.n5, "NT4": fixtures.nt4,
     "F2x1": fixtures.f2x1, "ladder3": lambda: fixtures.ladder_truncation(3),
+    "B3s": b3_shuffled, "grid3s": grid3_shuffled,
 }
 
 COMMANDS = {

@@ -1,26 +1,37 @@
-"""The mask kernels of structures and functors against the set-based
-checkers in oracles.py: same verdicts, same witnesses in the same order,
-same frames and the same isomorphisms."""
+"""The mask kernels of lattices, structures and functors against the
+set-based bodies in oracles.py: same verdicts, same witnesses in the same
+order, same tables, frames and isomorphisms, and the same errors."""
 
+import itertools
 import random
 
 import pytest
 
+from tirs.errors import TirsError
 from tirs.functors import (FrameMorphism, GraphMorphism, frame_iso,
                            graph_iso, h_set, rho, validate_frame_morphism,
                            validate_graph_morphism)
-from tirs.generators import GenSpec, gen_lattice
-from tirs.lattice import build_lattice
-from tirs.ploscica import dual_graph
-from tirs.pti import check_pti_frame_form
+from tirs.galois import (_generation_failures, canext_polarity, closed_sets,
+                         closure, frame_of_perfect, galois_down, galois_up)
+from tirs.generators import GenSpec, _enumerate_strict_orders, gen_lattice
+from tirs.lattice import (_finish_lattice, build_lattice, irreducibles,
+                          lattice_iso, transitive_closure)
+from tirs.ploscica import dual_graph, maximal_pairs
+from tirs.pti import _pti_pairs, check_pti_frame_form
 from tirs.structures import Frame, Graph, check_frame, check_graph, \
     is_poset_graph
 
 from oracles import (all_frames, all_graphs, set_check_frame,
-                     set_check_graph, set_frame_iso, set_graph_iso,
-                     set_h_set, set_is_poset_graph, set_rho,
-                     set_ti_failures, set_validate_frame_morphism,
-                     set_validate_graph_morphism)
+                     set_check_graph, set_closed_sets, set_closure,
+                     set_covers, set_finish_lattice, set_frame_iso,
+                     set_frame_of_perfect, set_galois_down, set_galois_up,
+                     set_generation_failures, set_graph_iso, set_h_set,
+                     set_irreducibles, set_is_poset_graph, set_lattice_iso,
+                     set_lower_covers, set_maximal_pairs, set_polarity_frame,
+                     set_pti_pairs, set_rho, set_ti_failures,
+                     set_transitive_closure, set_upper_covers,
+                     set_validate_frame_morphism,
+                     set_validate_graph_morphism, subsets)
 
 
 def m_n(n):
@@ -133,3 +144,149 @@ def test_frame_morphisms_match_the_set_validator():
                           {y: rng.choice(g.x2) for y in f.x2})
         assert validate_frame_morphism(m, True) == \
             set_validate_frame_morphism(m, True)
+
+
+# -- the lattice kernel ---------------------------------------------------
+
+
+def outcome(build, *args):
+    """What build(*args) returns, or the type and message of the toolkit
+    error it raises."""
+    try:
+        return build(*args)
+    except TirsError as exc:
+        return type(exc), str(exc)
+
+
+def permuted(rel, perm):
+    return {(perm[a], perm[b]) for a, b in rel}
+
+
+def strict_orders():
+    """(names, closed relation) for every strict order that the generators
+    enumerate on 1-5 elements, with the indices as listed, reversed and
+    shuffled."""
+    for n in range(1, 6):
+        names = [f"e{i}" for i in range(n)]
+        loops = {(i, i) for i in range(n)}
+        shuffle = list(range(n))
+        random.Random(n).shuffle(shuffle)
+        for rel in _enumerate_strict_orders(n):
+            for perm in (range(n), range(n - 1, -1, -1), shuffle):
+                yield names, frozenset(permuted(rel | loops, perm))
+
+
+def shuffled_lattice(L, rng):
+    """L with its elements renamed and listed in a shuffled order."""
+    names = dict(zip(L.elements, (f"s{i}" for i in
+                                  rng.sample(range(L.n), L.n))))
+    elems = list(names.values())
+    rng.shuffle(elems)
+    return build_lattice(elems, [(names[L.name(a)], names[L.name(b)])
+                                 for a, b in L.covers()])
+
+
+def chain_product(*dims):
+    points = list(itertools.product(*(range(d) for d in dims)))
+    name = "".join
+    return build_lattice(
+        [name(map(str, p)) for p in points],
+        [(name(map(str, p)), name(map(str, p[:i] + (p[i] + 1,) + p[i + 1:])))
+         for p in points for i, d in enumerate(dims) if p[i] + 1 < d])
+
+
+def families():
+    rng = random.Random(11)
+    lats = [chain_product(8), chain_product(2, 2, 2), chain_product(3, 3)]
+    lats += [m_n(n) for n in range(3, 7)]
+    lats += [L for k in range(10)
+             for L in gen_lattice(GenSpec("lattice", 3 + k % 8, seed=k,
+                                          count=2))]
+    return lats + [shuffled_lattice(L, rng) for L in lats]
+
+
+def assert_lattice_kernels(L):
+    """Every mask kernel on L equals its set-based oracle."""
+    assert _finish_lattice(L.elements, L.leq) == \
+        set_finish_lattice(L.elements, L.leq)
+    for a in range(L.n):
+        assert L.up(a) == {b for b in range(L.n) if (a, b) in L.leq}
+        assert L.down(a) == {b for b in range(L.n) if (b, a) in L.leq}
+        assert L.lower_covers(a) == set_lower_covers(L, a)
+        assert L.upper_covers(a) == set_upper_covers(L, a)
+    assert L.covers() == set_covers(L)
+    assert irreducibles(L) == set_irreducibles(L)
+    assert list(_generation_failures(L)) == set_generation_failures(L)
+    assert outcome(frame_of_perfect, L) == outcome(set_frame_of_perfect, L)
+    assert _pti_pairs(L, True) == set_pti_pairs(L, True)
+    assert _pti_pairs(L, False) == set_pti_pairs(L, False)
+    if L.n >= 2:
+        assert [(p.x, p.y) for p in maximal_pairs(L)] == set_maximal_pairs(L)
+        assert_closed_sets(rho(dual_graph(L)))
+    polarity = canext_polarity(L)[1]
+    assert polarity.base_frame == set_polarity_frame(L)
+    assert_closed_sets(polarity.base_frame)
+
+
+def assert_closed_sets(f):
+    got, want = closed_sets(f), set_closed_sets(f)
+    assert got.closed_sets == want.closed_sets
+    assert got.as_lattice == want.as_lattice
+    assert (got.j_infty, got.m_infty) == (want.j_infty, want.m_infty)
+
+
+def test_lattice_tables_match_the_scan_on_all_small_orders():
+    seen = 0
+    for names, rel in strict_orders():
+        got = outcome(_finish_lattice, names, rel)
+        assert got == outcome(set_finish_lattice, names, rel)
+        if isinstance(got, tuple):
+            continue
+        seen += 1
+        assert_lattice_kernels(got)
+    assert seen > 0
+
+
+def test_errors_and_witnesses_match_on_all_relations():
+    """build_lattice on every relation of up to 4 elements: the closure,
+    then the cycle, join/meet and bounds errors with their witnesses."""
+    kinds = set()
+    for n in range(5):
+        names = [f"e{i}" for i in range(n)]
+        cells = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for mask in range(2 ** len(cells)):
+            rel = {c for k, c in enumerate(cells) if mask >> k & 1}
+            rel |= {(i, i) for i in range(n)}
+            closed = transitive_closure(n, rel)
+            assert closed == set_transitive_closure(n, rel)
+            got = outcome(build_lattice, names,
+                          [(names[a], names[b]) for a, b in rel])
+            assert got == outcome(set_finish_lattice, names,
+                                  frozenset(closed))
+            kinds.add(got[0].__name__ if isinstance(got, tuple) else "ok")
+    assert kinds == {"ok", "NoBounds", "NotALattice", "NotAPartialOrder"}
+
+
+def test_lattice_families_match_the_set_kernels():
+    for L in families():
+        assert_lattice_kernels(L)
+
+
+def test_lattice_iso_matches_the_set_search():
+    rng = random.Random(4)
+    lats = [L for L in families() if L.n <= 9]
+    for L, other in zip(lats, lats[1:] + lats[:1]):
+        for K in (shuffled_lattice(L, rng), other):
+            got, want = lattice_iso(L, K), set_lattice_iso(L, K)
+            assert list((got or {}).items()) == list((want or {}).items())
+            assert (got is None) == (want is None)
+
+
+def test_galois_maps_match_the_set_maps():
+    for L in (m_n(3), chain_product(2, 3)):
+        f = rho(dual_graph(L))
+        for A in subsets(f.x1):
+            assert galois_up(f, A) == set_galois_up(f, A)
+            assert closure(f, A) == set_closure(f, A)
+        for B in subsets(f.x2):
+            assert galois_down(f, B) == set_galois_down(f, B)
