@@ -30,6 +30,8 @@ def _load(path):
         return parse_structure(load_json(path))
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
     except (json.JSONDecodeError, UnsupportedKind, ValueError) as exc:
         raise UsageError(f"cannot parse {path}: {exc}")
 
@@ -150,7 +152,7 @@ def cmd_check_pti(args):
         if not rep:
             raise MathFailure(rep.to_json())
         return
-    obj = _load(args.file)
+    obj = _load(args.file) if args.file is not None else None
     if not isinstance(obj, FiniteLattice):
         raise UsageError("check-pti expects a lattice file (or --frame)")
     rep, witnesses = check_pti(obj, args.all_witnesses)

@@ -184,26 +184,24 @@ def beta(f: Frame) -> FrameMorphism:
     return m
 
 
+def _permutes(perm, rows1, rows2) -> bool:
+    """perm is a bijection of the indices of rows1 onto those of rows2 that
+    carries each row of rows1 onto the row of its image."""
+    return len(rows1) == len(rows2) == len(set(perm)) and all(
+        sum(1 << perm[b] for b in bits(row)) == rows2[perm[a]]
+        for a, row in enumerate(rows1))
+
+
 def _is_graph_iso(m: GraphMorphism) -> bool:
     g, h = m.source, m.target
-    if len(set(m.map.values())) != len(g.vertices):
-        return False
-    if len(g.vertices) != len(h.vertices):
-        return False
-    perm = [h.index[m.map[v]] for v in g.vertices]
-    return all(sum(1 << perm[b] for b in bits(row)) == h.succ[perm[a]]
-               for a, row in enumerate(g.succ))
+    return _permutes([h.index[m.map[v]] for v in g.vertices], g.succ, h.succ)
 
 
 def _is_frame_iso(m: FrameMorphism) -> bool:
     f, g = m.source, m.target
-    if len(set(m.map1.values())) != len(f.x1) or len(f.x1) != len(g.x1):
-        return False
-    if len(set(m.map2.values())) != len(f.x2) or len(f.x2) != len(g.x2):
-        return False
-    perm = [g.index2[m.map2[y]] for y in f.x2]
-    return all(sum(1 << perm[y] for y in bits(row))
-               == g.rows[g.index1[m.map1[x]]] for x, row in zip(f.x1, f.rows))
+    perm = [g.index1[m.map1[x]] for x in f.x1] + \
+        [len(g.x1) + g.index2[m.map2[y]] for y in f.x2]
+    return _permutes(perm, _one_sort(f)[0], _one_sort(g)[0])
 
 
 # -- isomorphism search -------------------------------------------------
@@ -218,49 +216,28 @@ def graph_iso(g1: Graph, g2: Graph) -> Optional[dict]:
         {g1.vertices[a]: g2.vertices[b] for a, b in assign.items()}
 
 
+def _one_sort(f: Frame) -> tuple[list[int], list[int]]:
+    """The row and column masks of f as one relation on X1 followed by X2:
+    x1[x] has index x and a loop, x2[y] has index |X1| + y.  The loop marks
+    the sort, so no search or permutation test on these masks matches
+    points of different sorts."""
+    n1 = len(f.x1)
+    return ([1 << x | row << n1 for x, row in enumerate(f.rows)]
+            + [0] * len(f.x2),
+            [1 << x for x in range(n1)] + list(f.cols))
+
+
 def frame_iso(f1: Frame, f2: Frame) -> Optional[tuple[dict, dict]]:
     """A pair of bijections (X1 -> Y1, X2 -> Y2) preserving and reflecting
     R, or None."""
     if len(f1.x1) != len(f2.x1) or len(f1.x2) != len(f2.x2):
         return None
-
-    def candidates(masks1, masks2):
-        count2 = [m.bit_count() for m in masks2]
-        return [[b for b, c in enumerate(count2) if c == m.bit_count()]
-                for m in masks1]
-
-    c1 = candidates(f1.rows, f2.rows)
-    c2 = candidates(f1.cols, f2.cols)
-    # interleave sorts: every slot is (sort, point index)
-    slots = [(1, x) for x in range(len(c1))] + [(2, y) for y in range(len(c2))]
-    slots.sort(key=lambda s: len((c1 if s[0] == 1 else c2)[s[1]]))
-    a1, a2 = {}, {}
-    u1, u2 = set(), set()
-
-    def consistent(sort, a, b):
-        m1, m2, other = ((f1.rows[a], f2.rows[b], a2) if sort == 1
-                         else (f1.cols[a], f2.cols[b], a1))
-        return all(m1 >> i & 1 == m2 >> j & 1 for i, j in other.items())
-
-    def bt(k):
-        if k == len(slots):
-            return True
-        sort, a = slots[k]
-        cands, assign, used = ((c1, a1, u1) if sort == 1 else (c2, a2, u2))
-        for b in cands[a]:
-            if b in used:
-                continue
-            if consistent(sort, a, b):
-                assign[a] = b
-                used.add(b)
-                if bt(k + 1):
-                    return True
-                del assign[a]
-                used.discard(b)
-        return False
-
-    return ({f1.x1[a]: f2.x1[b] for a, b in a1.items()},
-            {f1.x2[a]: f2.x2[b] for a, b in a2.items()}) if bt(0) else None
+    assign = mask_iso(*_one_sort(f1), *_one_sort(f2))
+    if assign is None:
+        return None
+    n1, points1, points2 = len(f1.x1), f1.x1 + f1.x2, f2.x1 + f2.x2
+    return ({points1[a]: points2[b] for a, b in assign.items() if a < n1},
+            {points1[a]: points2[b] for a, b in assign.items() if a >= n1})
 
 
 # -- morphism validation ------------------------------------------------

@@ -14,20 +14,11 @@ from dataclasses import dataclass
 from .errors import (EmbeddingNotOnto, InvalidInput, IrreducibleMismatch,
                      NotPerfect)
 from .lattice import (CheckReport, FiniteLattice, LatticeEmbedding, Witness,
-                      _finish_lattice, bits, check_dense, irreducibles,
-                      pairwise_closure)
+                      _finish_lattice, bits, check_dense, irreducible_masks,
+                      irreducibles, pairwise_closure)
 from .ploscica import dual_graph, maximal_pairs
-from .structures import Frame, _names, subset
+from .structures import Frame, _meet, _names, subset
 from .functors import rho
-
-
-def _meet(masks, members, width: int) -> int:
-    """The AND of masks[i] over the indices i in members, starting from
-    the full mask of the given width."""
-    out = (1 << width) - 1
-    for i in members:
-        out &= masks[i]
-    return out
 
 
 def _indices(index, points, sort: str) -> list[int]:
@@ -138,18 +129,12 @@ def irreducibles_of_galois(gl: GaloisLattice):
 def _generation_failures(C: FiniteLattice):
     """("join", a) for each element a that is not the join of the
     join-irreducibles below it, and ("meet", a) dually, in index order."""
-    jmask, mmask = _irreducible_masks(C)
+    jmask, mmask = irreducible_masks(C)
     for a in range(C.n):
         if C.join_of(bits(C.downs[a] & jmask)) != a:
             yield "join", a
         if C.meet_of(bits(C.ups[a] & mmask)) != a:
             yield "meet", a
-
-
-def _irreducible_masks(C: FiniteLattice) -> tuple[int, int]:
-    """The join- and meet-irreducibles of C as index masks."""
-    return tuple(sum(1 << C.index(x) for x in names)
-                 for names in irreducibles(C))
 
 
 def check_perfect(C: FiniteLattice) -> CheckReport:
@@ -165,7 +150,7 @@ def frame_of_perfect(C: FiniteLattice) -> Frame:
     rep = check_perfect(C)
     if not rep:
         raise NotPerfect(rep.witnesses[0].elements[0])
-    jmask, mmask = _irreducible_masks(C)
+    jmask, mmask = irreducible_masks(C)
     r = frozenset((C.name(a), C.name(b))
                   for a in bits(jmask) for b in bits(C.ups[a] & mmask))
     return Frame(tuple(C.name(a) for a in bits(jmask)),

@@ -312,13 +312,17 @@ def _finish_lattice(elements, rel) -> FiniteLattice:
     )
 
 
-def irreducibles(L: FiniteLattice) -> tuple[frozenset[str], frozenset[str]]:
+def irreducible_masks(L: FiniteLattice) -> tuple[int, int]:
     """Join-irreducibles (one lower cover) and meet-irreducibles (one upper
-    cover), as name sets.  In a finite lattice these coincide with the
-    completely irreducible elements."""
-    j = frozenset(L.name(a) for a in range(L.n) if len(L.lower_covers(a)) == 1)
-    m = frozenset(L.name(a) for a in range(L.n) if len(L.upper_covers(a)) == 1)
-    return j, m
+    cover), as index masks."""
+    return (sum(1 << a for a in range(L.n) if len(L.lower_covers(a)) == 1),
+            sum(1 << a for a in range(L.n) if len(L.upper_covers(a)) == 1))
+
+
+def irreducibles(L: FiniteLattice) -> tuple[frozenset[str], frozenset[str]]:
+    """Join- and meet-irreducibles as name sets.  In a finite lattice these
+    coincide with the completely irreducible elements."""
+    return tuple(frozenset(map(L.name, bits(m))) for m in irreducible_masks(L))
 
 
 def filters_ideals(L: FiniteLattice):

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotPerfect, NotRS
-from .lattice import CheckReport, FiniteLattice, Witness, bits
+from .lattice import (CheckReport, FiniteLattice, Witness, bits,
+                      irreducible_masks)
 from .structures import Frame, _collect, check_frame, subset, ti_failures
-from .galois import (_irreducible_masks, check_perfect, closed_sets,
-                     frame_of_perfect)
+from .galois import check_perfect, closed_sets, frame_of_perfect
 from .functors import frame_iso
 
 
@@ -41,7 +41,7 @@ class PTiWitness:
 
 def _pti_pairs(C: FiniteLattice, all_witnesses: bool):
     ups, downs = C.ups, C.downs
-    jmask, mmask = _irreducible_masks(C)
+    jmask, mmask = irreducible_masks(C)
     # clause (iii) asks below_w[w] inside down(z), clause (iv) above_z[z]
     # inside up(w)
     below_w = {w: downs[w] & jmask & ~(1 << w) for w in bits(jmask)}

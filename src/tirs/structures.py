@@ -146,6 +146,15 @@ def _collect(gen, all_witnesses):
     return CheckReport.ok() if not out else CheckReport.fail(out)
 
 
+def _meet(masks, members, width: int) -> int:
+    """The AND of masks[i] over the indices i in members, starting from
+    the full mask of the given width."""
+    out = (1 << width) - 1
+    for i in members:
+        out &= masks[i]
+    return out
+
+
 def subset(a: int, b: int) -> bool:
     """Mask a is a subset of mask b."""
     return not a & ~b
@@ -215,13 +224,8 @@ class _HTable:
 
     def __init__(self, f: Frame):
         def meets(masks, up, width):
-            out = []
-            for i, u in enumerate(up):
-                m = (1 << width) - 1
-                for j in bits(u & ~(1 << i)):
-                    m &= masks[j]
-                out.append(m)
-            return out
+            return [_meet(masks, bits(u & ~(1 << i)), width)
+                    for i, u in enumerate(up)]
 
         self.up1, self.up2 = _supersets(f.rows), _supersets(f.cols)
         self.u1 = meets(f.rows, self.up1, len(f.x2))
@@ -279,15 +283,18 @@ def ti_failures(f: Frame, t: _HTable | None = None):
 def is_poset_graph(g: Graph, all_witnesses: bool = False) -> CheckReport:
     """True iff E is reflexive, transitive and antisymmetric (the Birkhoff
     special case: dual graphs of distributive lattices are posets)."""
+    vs, succ, index = g.vertices, g.succ, g.index
+    edges = sorted(g.edges)
+
     def gen():
-        for x in g.vertices:
-            if not g.has(x, x):
+        for i, x in enumerate(vs):
+            if not succ[i] >> i & 1:
                 yield Witness("reflexive", (x,))
-        for x, y in sorted(g.edges):
+        for x, y in edges:
             if x != y and g.has(y, x):
                 yield Witness("antisymmetric", (x, y))
-        for x, y in sorted(g.edges):
-            for z in sorted(g.row(y) - g.row(x)):
+        for x, y in edges:
+            for z in sorted(_names(succ[index[y]] & ~succ[index[x]], vs)):
                 yield Witness("transitive", (x, y, z))
 
     return _collect(gen(), all_witnesses)

@@ -377,6 +377,24 @@ def set_frame_iso(f1: Frame, f2: Frame):
             {a: b for (s, a), b in out.items() if s == 2})
 
 
+def _bijection(mapping: dict, target) -> bool:
+    return len(mapping) == len(target) and set(mapping.values()) == set(target)
+
+
+def set_is_graph_iso(m) -> bool:
+    """m is a bijection of the vertices that carries E onto E."""
+    f = m.map
+    return _bijection(f, m.target.vertices) and \
+        {(f[a], f[b]) for a, b in m.source.edges} == m.target.edges
+
+
+def set_is_frame_iso(m) -> bool:
+    """map1 and map2 are bijections per sort that together carry R onto R."""
+    p1, p2 = m.map1, m.map2
+    return _bijection(p1, m.target.x1) and _bijection(p2, m.target.x2) and \
+        {(p1[x], p2[y]) for x, y in m.source.r} == m.target.r
+
+
 def set_validate_graph_morphism(m, all_witnesses: bool = False):
     g, h = m.source, m.target
     rs, cs = graph_rows_cols(g)

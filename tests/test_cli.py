@@ -237,6 +237,15 @@ class TestBadInput:
         assert run(["check", p]) == 2
         assert capsys.readouterr().err.startswith("error: InvalidInput: ")
 
+    def test_check_pti_without_input(self, capsys):
+        assert run(["check-pti"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: check-pti expects a lattice file")
+
+    def test_directory_for_a_file(self, files, capsys):
+        assert run(["check", files["dir"]]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read ")
+
     def test_duplicate_frame_points(self, tmp_path):
         p = write_json(tmp_path, "f.json", {"x1": ["a", "a"], "x2": ["b"],
                                             "r": []})

@@ -8,9 +8,9 @@ import random
 import pytest
 
 from tirs.errors import TirsError
-from tirs.functors import (FrameMorphism, GraphMorphism, frame_iso,
-                           graph_iso, h_set, rho, validate_frame_morphism,
-                           validate_graph_morphism)
+from tirs.functors import (FrameMorphism, GraphMorphism, _is_frame_iso,
+                           _is_graph_iso, frame_iso, graph_iso, h_set, rho,
+                           validate_frame_morphism, validate_graph_morphism)
 from tirs.galois import (_generation_failures, canext_polarity, closed_sets,
                          closure, frame_of_perfect, galois_down, galois_up)
 from tirs.generators import GenSpec, _enumerate_strict_orders, gen_lattice
@@ -26,7 +26,8 @@ from oracles import (all_frames, all_graphs, set_check_frame,
                      set_covers, set_finish_lattice, set_frame_iso,
                      set_frame_of_perfect, set_galois_down, set_galois_up,
                      set_generation_failures, set_graph_iso, set_h_set,
-                     set_irreducibles, set_is_poset_graph, set_lattice_iso,
+                     set_irreducibles, set_is_frame_iso, set_is_graph_iso,
+                     set_is_poset_graph, set_lattice_iso,
                      set_lower_covers, set_maximal_pairs, set_polarity_frame,
                      set_pti_pairs, set_rho, set_ti_failures,
                      set_transitive_closure, set_upper_covers,
@@ -120,8 +121,53 @@ def test_frame_iso_matches_the_set_search(n1, n2):
     frames = list(all_frames(n1, n2))
     for f, other in zip(frames, frames[1:] + frames[:1]):
         for g in (shuffled(f, rng), other):
-            got = frame_iso(f, g)
-            assert got == set_frame_iso(f, g)
+            got, want = frame_iso(f, g), set_frame_iso(f, g)
+            assert got == want
+            assert [list(d.items()) for d in got or ()] == \
+                [list(d.items()) for d in want or ()]
+
+
+def random_maps(rng, source, target, found):
+    """A random map source -> target, a random bijection when the sizes
+    agree, and found, the map a search found, when there is one."""
+    yield {a: rng.choice(target) for a in source}
+    if len(source) == len(target):
+        yield dict(zip(source, rng.sample(target, len(target))))
+    if found is not None:
+        yield found
+
+
+def test_iso_verifiers_match_the_bijection_oracle():
+    """The permutation test behind alpha and beta on graphs of 1-3
+    vertices, on 2x2, 2x3 and 3x2 frames, and between 1x3 and 2x2 frames
+    (the same number of points in another shape)."""
+    rng = random.Random(8)
+    verdicts = set()
+    graphs = [g for n in (1, 2, 3) for g in all_graphs(n)]
+    for _ in range(3000):
+        g = rng.choice(graphs)
+        h = relabelled(g, rng) if rng.random() < 0.5 else rng.choice(graphs)
+        for mp in random_maps(rng, g.vertices, h.vertices, graph_iso(g, h)):
+            m = GraphMorphism(g, h, mp)
+            assert _is_graph_iso(m) == set_is_graph_iso(m)
+            verdicts.add(("graph", _is_graph_iso(m)))
+    frames = {s: list(all_frames(*s)) for s in [*SHAPES[:3], (1, 3)]}
+    shapes = [(s, s) for s in SHAPES[:3]] + [((1, 3), (2, 2)),
+                                             ((2, 2), (1, 3))]
+    for _ in range(2000):
+        s1, s2 = rng.choice(shapes)
+        f = rng.choice(frames[s1])
+        g = shuffled(f, rng) if s1 == s2 and rng.random() < 0.5 \
+            else rng.choice(frames[s2])
+        found = frame_iso(f, g) or (None, None)
+        for map1, map2 in itertools.product(
+                random_maps(rng, f.x1, g.x1, found[0]),
+                random_maps(rng, f.x2, g.x2, found[1])):
+            m = FrameMorphism(f, g, map1, map2)
+            assert _is_frame_iso(m) == set_is_frame_iso(m)
+            verdicts.add(("frame", _is_frame_iso(m)))
+    assert verdicts == {(kind, v) for kind in ("graph", "frame")
+                        for v in (True, False)}
 
 
 def test_graph_morphisms_match_the_set_validator():
