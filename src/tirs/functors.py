@@ -17,7 +17,7 @@ from .errors import (HNotPreserved, InvalidInput, IsoVerificationFailed,
                      MismatchedCarrier, NotTiRS, NotWellDefined)
 from .lattice import CheckReport, Witness, mask_iso
 from .structures import (ConditionReport, Frame, Graph, _collect, bits,
-                         check_frame, check_graph, h_set, subset)
+                         check_frame, check_graph, h_set)
 
 
 @dataclass(frozen=True)
@@ -249,19 +249,19 @@ def validate_graph_morphism(m: GraphMorphism,
     (iii) column inclusion is preserved."""
     g, h = m.source, m.target
     img = [h.index[m.map[v]] for v in g.vertices]
+    (row_g, col_g), (row_h, col_h) = g.supersets, h.supersets
 
     def gen():
         for (a, b) in sorted(g.edges):
             if not h.has(m.map[a], m.map[b]):
                 yield Witness("i", (a, b))
-        for a, va in enumerate(g.vertices):
-            for b, vb in enumerate(g.vertices):
-                if subset(g.succ[a], g.succ[b]) and \
-                        not subset(h.succ[img[a]], h.succ[img[b]]):
-                    yield Witness("ii", (va, vb))
-                if subset(g.pred[a], g.pred[b]) and \
-                        not subset(h.pred[img[a]], h.pred[img[b]]):
-                    yield Witness("iii", (va, vb))
+        vs = g.vertices
+        for a, ia in enumerate(img):
+            for b in bits(row_g[a] | col_g[a]):
+                if row_g[a] >> b & 1 and not row_h[ia] >> img[b] & 1:
+                    yield Witness("ii", (vs[a], vs[b]))
+                if col_g[a] >> b & 1 and not col_h[ia] >> img[b] & 1:
+                    yield Witness("iii", (vs[a], vs[b]))
 
     return _collect(gen(), all_witnesses)
 
@@ -271,28 +271,23 @@ def validate_frame_morphism(m: FrameMorphism,
     """Clauses: (i) relation is reflected; (ii)/(iii) row/column inclusion
     preserved; (iv) H-pairs map to H-pairs."""
     f, g = m.source, m.target
+    img1 = [g.index1[m.map1[x]] for x in f.x1]
     img2 = [g.index2[m.map2[y]] for y in f.x2]
-    rows_t = [g.rows[g.index1[m.map1[x]]] for x in f.x1]
-    cols_t = [g.cols[i] for i in img2]
-    h_t = set(h_set(g))
+    s, t = f.table, g.table
 
     def gen():
         for x, vx in enumerate(f.x1):
             for y, vy in enumerate(f.x2):
-                if rows_t[x] >> img2[y] & 1 and not f.rows[x] >> y & 1:
+                if g.rows[img1[x]] >> img2[y] & 1 and not f.rows[x] >> y & 1:
                     yield Witness("i", (vx, vy))
-        for x, vx in enumerate(f.x1):
-            for w, vw in enumerate(f.x1):
-                if subset(f.rows[x], f.rows[w]) and \
-                        not subset(rows_t[x], rows_t[w]):
-                    yield Witness("ii", (vx, vw))
-        for y, vy in enumerate(f.x2):
-            for z, vz in enumerate(f.x2):
-                if subset(f.cols[y], f.cols[z]) and \
-                        not subset(cols_t[y], cols_t[z]):
-                    yield Witness("iii", (vy, vz))
-        for (x, y) in h_set(f):
-            if (m.map1[x], m.map2[y]) not in h_t:
+        for label, img, up_s, up_t, pts in (("ii", img1, s.up1, t.up1, f.x1),
+                                            ("iii", img2, s.up2, t.up2, f.x2)):
+            for a, i in enumerate(img):
+                for b in bits(up_s[a]):
+                    if not up_t[i] >> img[b] & 1:
+                        yield Witness(label, (pts[a], pts[b]))
+        for x, y in h_set(f):
+            if not t.h[g.index1[m.map1[x]]] >> g.index2[m.map2[y]] & 1:
                 yield Witness("iv", (x, y))
 
     return _collect(gen(), all_witnesses)
@@ -327,12 +322,11 @@ def gr_mor(m: FrameMorphism) -> GraphMorphism:
     """Image of a frame morphism under gr: (x, y) |-> (psi1 x, psi2 y).
     Every H-vertex must land on an H-vertex; the graph-morphism clauses are
     verified."""
-    src, tgt = gr(m.source), gr(m.target)
-    h_t = set(h_set(m.target))
+    src, tgt, g = gr(m.source), gr(m.target), m.target
     mapping = {}
     for (x, y) in h_set(m.source):
         img = (m.map1[x], m.map2[y])
-        if img not in h_t:
+        if not g.table.h[g.index1[img[0]]] >> g.index2[img[1]] & 1:
             raise HNotPreserved(f"image of H-pair ({x},{y}) is not in H")
         mapping[_pair_name(x, y)] = _pair_name(*img)
     out = GraphMorphism(src, tgt, mapping)

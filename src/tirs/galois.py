@@ -3,8 +3,8 @@ perfect lattice, and the two canonical-extension constructions.
 
 closed sets are generated as the intersection closure of the column extents
 plus the full first carrier, on the frame's column masks.  The computed
-canonical extensions are verified to be onto lattice embeddings and dense;
-compactness holds in the finite case without a check.
+canonical extensions are verified to be onto lattice embeddings; density
+follows from onto and compactness from finiteness, so neither is checked.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .errors import (EmbeddingNotOnto, InvalidInput, IrreducibleMismatch,
                      NotPerfect)
 from .lattice import (CheckReport, FiniteLattice, LatticeEmbedding, Witness,
-                      _finish_lattice, bits, check_dense, irreducible_masks,
-                      irreducibles, pairwise_closure)
+                      _finish_lattice, bits, irreducibles, pairwise_closure)
 from .ploscica import dual_graph, maximal_pairs
 from .structures import Frame, _meet, _names, subset
 from .functors import rho
@@ -60,7 +59,12 @@ def inclusion_lattice(family):
     masks = [sum(1 << index[x] for x in s) for s in sets]
     leq = frozenset((i, j) for i, si in enumerate(masks)
                     for j, sj in enumerate(masks) if subset(si, sj))
-    return sets, _finish_lattice([_set_name(s) for s in sets], leq)
+    names, first = [_set_name(s) for s in sets], {}
+    for s, name in zip(sets, names):  # a "," in a point name can collide
+        if first.setdefault(name, s) != s:
+            raise InvalidInput(f"sets {sorted(first[name])} and {sorted(s)} "
+                               f"are both named {name}")
+    return sets, _finish_lattice(names, leq)
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ def irreducibles_of_galois(gl: GaloisLattice):
 def _generation_failures(C: FiniteLattice):
     """("join", a) for each element a that is not the join of the
     join-irreducibles below it, and ("meet", a) dually, in index order."""
-    jmask, mmask = irreducible_masks(C)
+    jmask, mmask = C.irreducible_masks
     for a in range(C.n):
         if C.join_of(bits(C.downs[a] & jmask)) != a:
             yield "join", a
@@ -150,7 +154,7 @@ def frame_of_perfect(C: FiniteLattice) -> Frame:
     rep = check_perfect(C)
     if not rep:
         raise NotPerfect(rep.witnesses[0].elements[0])
-    jmask, mmask = irreducible_masks(C)
+    jmask, mmask = C.irreducible_masks
     r = frozenset((C.name(a), C.name(b))
                   for a in bits(jmask) for b in bits(C.ups[a] & mmask))
     return Frame(tuple(C.name(a) for a in bits(jmask)),
@@ -162,9 +166,9 @@ def canext_tandem(L: FiniteLattice):
     G(rho(dual_graph(L))), with the embedding sending a to the set of row
     classes of maximal pairs whose filter part contains a.
 
-    Returns (embedding, GaloisLattice).  The embedding is verified to be a
-    dense bounded-lattice embedding, onto in the finite case (where it is
-    compact without a check).
+    Returns (embedding, GaloisLattice).  The embedding is verified to be an
+    onto bounded-lattice embedding; density follows from onto, and
+    compactness holds in the finite case, so neither is checked.
     """
     g = dual_graph(L)
     f = rho(g)
@@ -188,7 +192,8 @@ def canext_polarity(L: FiniteLattice):
     the frame (filters, ideals, nonempty intersection), represented by
     their filter-side projection.
 
-    Returns (embedding, GaloisLattice over the polarity frame).
+    Returns (embedding, GaloisLattice over the polarity frame); as in
+    canext_tandem, the embedding is verified onto, so it is dense.
     """
     # F_i is the filter up(i) and I_j the ideal down(j); the two meet,
     # up[i] & down[j] != 0, iff i <= j
@@ -211,8 +216,6 @@ def _verify_canonical(emb: LatticeEmbedding):
     rep = emb.validate()
     if not rep:
         raise AssertionError(f"not an embedding: {rep.witnesses[0]}")
-    if not check_dense(emb):
-        raise AssertionError("computed extension is not dense")
     if len(set(emb.map)) != emb.target.n:
         raise EmbeddingNotOnto(
             "a finite lattice is its own canonical extension")

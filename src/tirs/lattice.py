@@ -3,14 +3,15 @@ filters/ideals, embeddings, density/compactness/distributivity checks.
 
 Elements are referenced internally by index (input order); all public output
 uses names.  Every value is immutable after construction.  The order is also
-held as int bitmasks over element indices, built once per lattice: the
-tables, covers, irreducibles and the iso search run on those masks.
+held as int bitmasks over element indices, built once per lattice on first
+read: the tables, covers, irreducibles and the iso search run on those masks.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import NoBounds, NotALattice, NotAPartialOrder
@@ -54,9 +55,9 @@ class FiniteLattice:
 
     ``leq`` holds index pairs (i, j) with i <= j, reflexive-transitively
     closed.  ``join``/``meet`` are full binary tables indexed by element
-    index.  The order is also held as index masks built at construction
-    (not fields, so equality, hashing and JSON read ``leq`` alone):
-    ups[a] has bit b set iff a <= b, and downs[b] is the transpose.
+    index.  Derived tables are cached properties, not fields: ups[a] has
+    bit b set iff a <= b, downs[b] is the transpose, _index maps names to
+    indices and irreducible_masks holds the irreducibles.
     """
 
     elements: tuple[str, ...]
@@ -65,12 +66,27 @@ class FiniteLattice:
     meet: tuple[tuple[int, ...], ...]
     bot: int
     top: int
-    _index: dict = field(repr=False, compare=False, hash=False, default=None)
 
-    def __post_init__(self):
-        ups, downs = order_masks(len(self.elements), self.leq)
-        vars(self).update(ups=ups, downs=downs, _index={
-            name: i for i, name in enumerate(self.elements)})
+    @cached_property
+    def ups(self) -> tuple[int, ...]:
+        ups, vars(self)["downs"] = order_masks(self.n, self.leq)
+        return ups
+
+    @cached_property
+    def downs(self) -> tuple[int, ...]:
+        self.ups  # built together with downs
+        return vars(self)["downs"]
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.elements)}
+
+    @cached_property
+    def irreducible_masks(self) -> tuple[int, int]:
+        """Join- and meet-irreducibles (one lower/upper cover) as masks."""
+        n = range(self.n)
+        return (sum(1 << a for a in n if len(self.lower_covers(a)) == 1),
+                sum(1 << a for a in n if len(self.upper_covers(a)) == 1))
 
     # -- element access -------------------------------------------------
 
@@ -302,27 +318,16 @@ def _finish_lattice(elements, rel) -> FiniteLattice:
     if bot is None or top is None:
         raise NoBounds("missing bottom or top")
 
-    return FiniteLattice(
-        elements=tuple(elements),
-        leq=frozenset(rel),
-        join=tuple(map(tuple, join)),
-        meet=tuple(map(tuple, meet)),
-        bot=bot,
-        top=top,
-    )
-
-
-def irreducible_masks(L: FiniteLattice) -> tuple[int, int]:
-    """Join-irreducibles (one lower cover) and meet-irreducibles (one upper
-    cover), as index masks."""
-    return (sum(1 << a for a in range(L.n) if len(L.lower_covers(a)) == 1),
-            sum(1 << a for a in range(L.n) if len(L.upper_covers(a)) == 1))
+    L = FiniteLattice(tuple(elements), frozenset(rel), tuple(map(tuple, join)),
+                      tuple(map(tuple, meet)), bot, top)
+    vars(L).update(ups=ups, downs=downs)
+    return L
 
 
 def irreducibles(L: FiniteLattice) -> tuple[frozenset[str], frozenset[str]]:
     """Join- and meet-irreducibles as name sets.  In a finite lattice these
     coincide with the completely irreducible elements."""
-    return tuple(frozenset(map(L.name, bits(m))) for m in irreducible_masks(L))
+    return tuple(frozenset(map(L.name, bits(m))) for m in L.irreducible_masks)
 
 
 def filters_ideals(L: FiniteLattice):

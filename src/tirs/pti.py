@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotPerfect, NotRS
-from .lattice import (CheckReport, FiniteLattice, Witness, bits,
-                      irreducible_masks)
+from .lattice import CheckReport, FiniteLattice, Witness, bits
 from .structures import Frame, _collect, check_frame, subset, ti_failures
 from .galois import check_perfect, closed_sets, frame_of_perfect
 from .functors import frame_iso
@@ -41,7 +40,7 @@ class PTiWitness:
 
 def _pti_pairs(C: FiniteLattice, all_witnesses: bool):
     ups, downs = C.ups, C.downs
-    jmask, mmask = irreducible_masks(C)
+    jmask, mmask = C.irreducible_masks
     # clause (iii) asks below_w[w] inside down(z), clause (iv) above_z[z]
     # inside up(w)
     below_w = {w: downs[w] & jmask & ~(1 << w) for w in bits(jmask)}

@@ -2,17 +2,18 @@
 
 A graph is a set of vertices with a binary relation E; a frame is a
 two-sorted structure (X1, X2, R) with R between the sorts.  Each holds its
-relation as int bitmasks over point indices, built once at construction.
-The checkers evaluate reflexivity and the separation (S), reducedness (R)
-and maximal extension (Ti) conditions on those masks, reporting the first
-witness in scan order (all witnesses behind a flag).  Frame (Ti) is decided
-against the H-set: every non-related pair must lie below an H-pair.
+relation as int bitmasks, and the tables derived from them as cached
+properties.  The checkers evaluate reflexivity, separation (S), reducedness
+(R) and maximal extension (Ti) on those masks, reporting the first witness
+in scan order (all witnesses behind a flag).  Frame (Ti) is decided against
+the H-set: every non-related pair must lie below an H-pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InvalidInput
 from .lattice import CheckReport, Witness, bits
@@ -45,7 +46,8 @@ def _relation(names1, names2, pairs, duplicate, unknown):
 class Graph:
     """Vertices and edges E.  The relation is also held as index masks
     built at construction: succ[i] has bit j set, and pred[j] bit i, iff
-    (v_i, v_j) is an edge; index maps each vertex to its position."""
+    (v_i, v_j) is an edge; index maps each vertex to its position.  The
+    cached supersets holds row and column inclusion."""
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
@@ -58,6 +60,11 @@ class Graph:
             self.vertices, self.vertices, self.edges,
             "duplicate vertex names", "an edge references an unknown vertex")
         vars(self).update(index=index, succ=succ, pred=pred)
+
+    @cached_property
+    def supersets(self) -> tuple[list[int], list[int]]:
+        """(up_row, up_col): the _supersets of the rows and the columns."""
+        return _supersets(self.succ), _supersets(self.pred)
 
     def row(self, x: str) -> frozenset[str]:
         """xE = successors of x."""
@@ -80,10 +87,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class Frame:
-    """Carriers X1, X2 and R between them.  The relation is also held as
-    index masks built at construction: rows[i] is the mask over X2 of the
-    row of x1[i], cols[j] the mask over X1 of the column of x2[j]; index1
-    and index2 map each point to its position."""
+    """Carriers X1, X2 and R between them, also held as index masks built at
+    construction: rows[i] is the mask over X2 of the row of x1[i], cols[j]
+    the mask over X1 of the column of x2[j]; index1 and index2 map each
+    point to its position.  The cached table is the frame's _HTable."""
 
     x1: tuple[str, ...]
     x2: tuple[str, ...]
@@ -95,6 +102,10 @@ class Frame:
             self.x1, self.x2, self.r, "duplicate point names within x1 or x2",
             "a pair in r references an unknown point")
         vars(self).update(index1=index1, index2=index2, rows=rows, cols=cols)
+
+    @cached_property
+    def table(self) -> _HTable:
+        return _HTable(self)
 
     def row(self, x: str) -> frozenset[str]:
         """xR."""
@@ -196,7 +207,7 @@ def check_graph(g: Graph, all_witnesses: bool = False) -> ConditionReport:
     def cond_ti():
         # an edge (x, y) needs a z with row(z) inside row(x) and col(z)
         # inside col(y); reach[x] collects those y over all z
-        up_row, up_col = _supersets(succ), _supersets(pred)
+        up_row, up_col = g.supersets
         reach = [0] * n
         for z in range(n):
             for x in bits(up_row[z]):
@@ -223,13 +234,11 @@ class _HTable:
     (x, y) an H-pair: y outside row(x), y in u1[x] and x in u2[y]."""
 
     def __init__(self, f: Frame):
-        def meets(masks, up, width):
-            return [_meet(masks, bits(u & ~(1 << i)), width)
-                    for i, u in enumerate(up)]
-
         self.up1, self.up2 = _supersets(f.rows), _supersets(f.cols)
-        self.u1 = meets(f.rows, self.up1, len(f.x2))
-        self.u2 = meets(f.cols, self.up2, len(f.x1))
+        self.u1 = [_meet(f.rows, bits(u & ~(1 << x)), len(f.x2))
+                   for x, u in enumerate(self.up1)]
+        self.u2 = [_meet(f.cols, bits(u & ~(1 << y)), len(f.x1))
+                   for y, u in enumerate(self.up2)]
         self.h = [sum(1 << y for y in bits(~row & self.u1[x])
                       if self.u2[y] >> x & 1)
                   for x, row in enumerate(f.rows)]
@@ -239,7 +248,7 @@ def check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
     """Evaluate frame (S), (R) and (Ti).  RS iff (S) and (R) hold; TiRS iff
     additionally (Ti).  The reflexive slot is vacuously true (no reflexivity
     notion on two-sorted structures)."""
-    t = _HTable(f)
+    t = f.table
     cond_s = itertools.chain(_equal_pairs(f.rows, f.x1, "S(i)"),
                              _equal_pairs(f.cols, f.x2, "S(ii)"))
     # x needs a y outside its row that every other w whose row contains
@@ -253,7 +262,7 @@ def check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
         reflexive=CheckReport.ok(),
         condS=_collect(cond_s, all_witnesses),
         condR=_collect(cond_r, all_witnesses),
-        condTi=_collect((Witness("Ti", p) for p in ti_failures(f, t)),
+        condTi=_collect((Witness("Ti", p) for p in ti_failures(f)),
                         all_witnesses),
     )
 
@@ -261,15 +270,15 @@ def check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
 def h_set(f: Frame) -> list[tuple[str, str]]:
     """The H-vertex set of a frame: pairs (x, y) with x not related to y
     that are maximal in the row/column inclusion sense."""
-    h = _HTable(f).h
-    return [(f.x1[x], f.x2[y]) for x in range(len(f.x1)) for y in bits(h[x])]
+    return [(f.x1[x], f.x2[y]) for x, h in enumerate(f.table.h)
+            for y in bits(h)]
 
 
-def ti_failures(f: Frame, t: _HTable | None = None):
+def ti_failures(f: Frame):
     """The pairs that break (Ti), in scan order: non-related (x, y) with no
     H-pair (w, z) such that row(x) is inside row(w) and col(y) inside
-    col(z).  t is f's table, when the caller has built it."""
-    t = t or _HTable(f)
+    col(z)."""
+    t = f.table
     full = (1 << len(f.x2)) - 1
     for x, row in enumerate(f.rows):
         reach = 0  # the z of the H-pairs (w, z) with row(x) inside row(w)

@@ -18,7 +18,8 @@ from tirs.galois import (canext_polarity, canext_tandem, closed_sets,
                          irreducibles_of_galois, jinfty_via_maximal_pairs)
 from tirs.generators import (GenSpec, _downset_lattice, gen_lattice,
                              gen_poset, gen_rs_frame, random_monotone_map)
-from tirs.lattice import irreducibles, is_distributive, lattice_iso
+from tirs.lattice import (check_dense, irreducibles, is_distributive,
+                          lattice_iso)
 from tirs.ploscica import dual_graph
 from tirs.pti import check_pti, pti_bridge_suite
 from tirs.structures import Graph, check_frame, check_graph, is_poset_graph
@@ -270,3 +271,11 @@ def test_criterion_10_birkhoff_specialization(capsys):
                                _downset_lattice(rev)) is not None
     _gate(10, "on distributive lattices the duality specializes to the "
               "poset and downset picture", body, capsys)
+
+
+def test_both_canonical_extensions_are_dense():
+    # the constructions check only that their embeddings are onto, which
+    # makes them dense; this checks density itself
+    for L in corpus_lattices():
+        assert check_dense(tandem(L)[0])
+        assert check_dense(polarity(L)[0])

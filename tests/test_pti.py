@@ -1,13 +1,13 @@
 import pytest
 
 from tirs import fixtures
-from tirs.errors import NotRS
+from tirs.errors import InvalidInput, NotRS
 from tirs.functors import rho
 from tirs.galois import closed_sets
 from tirs.pti import (PTiWitness, check_pti, check_pti_frame_form,
                       pti_bridge_suite)
 from tirs.ploscica import dual_graph
-from tirs.structures import check_frame
+from tirs.structures import Frame, check_frame
 
 from oracles import all_frames, literal_ti_failures
 
@@ -99,3 +99,15 @@ class TestBridge:
     def test_rejects_non_rs_input(self):
         with pytest.raises(NotRS):
             pti_bridge_suite(fixtures.f2x1())
+
+    def test_closed_sets_whose_names_collide_are_refused(self):
+        # {a, b} and {"a,b"} are both closed, and both would be named {a,b}
+        f = Frame(("a", "b", "a,b"), ("y1", "y2", "y3"),
+                  frozenset({("a", "y1"), ("b", "y1"), ("a,b", "y2"),
+                             ("a", "y3")}))
+        assert check_frame(f).is_rs
+        clash = r"sets \['a,b'\] and \['a', 'b'\] are both named \{a,b\}"
+        with pytest.raises(InvalidInput, match=clash):
+            closed_sets(f)
+        with pytest.raises(InvalidInput, match=clash):
+            pti_bridge_suite(f)

@@ -1,0 +1,119 @@
+"""The tables derived from a graph, frame or lattice are cached on it: each
+is built at most once per structure, and the caches change nothing a caller
+can see (equality, hashing, repr, JSON and the dataclass fields)."""
+
+import dataclasses
+import functools
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from tirs import fixtures, lattice, structures
+from tirs.functors import beta, rho
+from tirs.lattice import FiniteLattice, order_masks
+from tirs.ploscica import dual_graph
+from tirs.pti import pti_bridge_suite
+from tirs.structures import Frame, Graph
+
+from oracles import set_finish_lattice
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import layers  # noqa: E402
+import workloads  # noqa: E402
+
+
+class Builds:
+    """Table builds counted per (table, structure).  Every counted
+    structure is kept alive, so no id is reused while counting."""
+
+    def __init__(self, monkeypatch):
+        self.counts = Counter()
+        self._alive = []
+        # the H-table per frame, one inclusion table per mask tuple (two per
+        # graph or frame), the order masks per leq relation (build_lattice's
+        # transitive closure counts its own relation), the irreducibles per
+        # lattice
+        self._wrap(monkeypatch, structures._HTable, "__init__", "h-table",
+                   lambda table, f: f)
+        self._wrap(monkeypatch, structures, "_supersets", "supersets",
+                   lambda masks: masks)
+        self._wrap(monkeypatch, lattice, "order_masks", "order",
+                   lambda n, pairs: pairs)
+        scan = vars(FiniteLattice)["irreducible_masks"].func
+        prop = functools.cached_property(self._counted(scan, "irreducibles",
+                                                       lambda L: L))
+        prop.__set_name__(FiniteLattice, "irreducible_masks")
+        monkeypatch.setattr(FiniteLattice, "irreducible_masks", prop)
+
+    def _counted(self, fn, table, key):
+        def counted(*args):
+            owner = key(*args)
+            self._alive.append(owner)
+            self.counts[table, id(owner)] += 1
+            return fn(*args)
+        return counted
+
+    def _wrap(self, monkeypatch, owner, name, table, key):
+        monkeypatch.setattr(owner, name,
+                            self._counted(getattr(owner, name), table, key))
+
+    def assert_once(self):
+        assert {table for table, _ in self.counts} == {
+            "h-table", "supersets", "order", "irreducibles"}
+        twice = {k: n for k, n in self.counts.items() if n > 1}
+        assert not twice
+
+
+@pytest.mark.parametrize("make", [fixtures.diagonal_frame,
+                                  lambda: fixtures.ladder_truncation(2)],
+                         ids=["diagonal", "ladder2"])
+def test_beta_and_the_bridge_build_each_table_once(monkeypatch, make):
+    builds = Builds(monkeypatch)
+    f = make()
+    assert (len(f.x1), len(f.x2)) == (3, 3)
+    beta(f)
+    assert pti_bridge_suite(f)
+    builds.assert_once()
+
+
+@pytest.mark.parametrize("name,job", [("wide", "M4"), ("tall", "C2xC3")])
+def test_a_benchmark_lattice_job_builds_each_table_once(monkeypatch, name,
+                                                         job):
+    builds = Builds(monkeypatch)
+    jobs = {j.name: j for j in workloads.WORKLOADS[name](0, tiny=True).jobs}
+    workloads.run_job(layers.make_api(layers.Tracer()), jobs[job])
+    builds.assert_once()
+
+
+def test_caches_are_invisible():
+    L = fixtures.n5()
+    g = dual_graph(L)
+    f = rho(g)
+    seen = [(x.to_json(), repr(x)) for x in (g, f, L)]
+    # read every cached table
+    g.supersets, f.table
+    L.ups, L.downs, L.index(L.elements[0]), L.irreducible_masks
+    fresh = (Graph(g.vertices, g.edges, g.meta), Frame(f.x1, f.x2, f.r),
+             FiniteLattice(L.elements, L.leq, L.join, L.meet, L.bot, L.top))
+    for x, y, (js, rp) in zip((g, f, L), fresh, seen):
+        assert x == y and hash(x) == hash(y)
+        assert x.to_json() == js and repr(x) == rp
+    assert L.to_json() == fresh[2].to_json()
+
+
+def test_lattice_fields_are_the_defining_data():
+    assert [fl.name for fl in dataclasses.fields(FiniteLattice)] == [
+        "elements", "leq", "join", "meet", "bot", "top"]
+
+
+def test_a_directly_built_lattice_derives_its_masks():
+    L = fixtures.n5()
+    direct = set_finish_lattice(L.elements, L.leq)
+    assert "ups" not in vars(direct) and "downs" not in vars(direct)
+    downs = direct.downs  # read first, so it builds ups alongside
+    assert (direct.ups, downs) == order_masks(direct.n, direct.leq)
+    assert (direct.ups, direct.downs) == (L.ups, L.downs)
+    assert direct.irreducible_masks == L.irreducible_masks
