@@ -10,14 +10,15 @@ canonical isomorphisms alpha and beta, and both act on morphisms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (HNotPreserved, InvalidInput, IsoVerificationFailed,
                      MismatchedCarrier, NotTiRS, NotWellDefined)
 from .lattice import CheckReport, Witness, mask_iso
-from .structures import (ConditionReport, Frame, Graph, _collect, bits,
-                         check_frame, check_graph, h_set)
+from .structures import (ConditionReport, Frame, Graph, _collect, _name_order,
+                         bits, check_frame, check_graph, h_set)
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,11 @@ def rho(g: Graph) -> Frame:
     reps2, cls2 = _classes(vs, g.pred)
     # rows are equal within a row class and columns within a column class,
     # so relating the representatives relates the classes
-    r = frozenset((vs[x], vs[y]) for x in reps1 for y in reps2
-                  if not succ[x] >> y & 1)
-    return Frame(tuple(vs[x] for x in reps1), tuple(vs[y] for y in reps2), r,
-                 {"class1": cls1, "class2": cls2})
+    rows = [sum(1 << k for k, y in enumerate(reps2) if not succ[x] >> y & 1)
+            for x in reps1]
+    return Frame._from_masks(tuple(vs[x] for x in reps1),
+                             tuple(vs[y] for y in reps2), rows,
+                             {"class1": cls1, "class2": cls2})
 
 
 def _pair_name(x: str, y: str) -> str:
@@ -121,13 +123,17 @@ def _pair_name(x: str, y: str) -> str:
 def gr(f: Frame) -> Graph:
     """The associated graph of a frame: vertices are the H-pairs, with an
     edge ((x, y), (w, z)) iff x is not related to z."""
-    hs = h_set(f)
-    names = {p: _pair_name(*p) for p in hs}
-    edges = frozenset((names[(x, y)], names[(w, z)])
-                      for (x, y) in hs for (w, z) in hs
-                      if not f.has(x, z))
-    meta = {names[p]: {"pair": list(p)} for p in hs}
-    return Graph(tuple(names[p] for p in hs), edges, meta)
+    hs = [(x, y) for x, h in enumerate(f.table.h) for y in bits(h)]
+    at_z = [0] * len(f.x2)  # at_z[z] masks the H-pairs (w, z)
+    for k, (_, z) in enumerate(hs):
+        at_z[z] |= 1 << k
+    full = (1 << len(f.x2)) - 1
+    succ = [sum(at_z[z] for z in bits(full & ~row)) for row in f.rows]
+    pairs = [(f.x1[x], f.x2[y]) for x, y in hs]
+    names = tuple(_pair_name(*p) for p in pairs)
+    return Graph._from_masks(names, [succ[x] for x, _ in hs],
+                             {v: {"pair": list(p)}
+                              for v, p in zip(names, pairs)})
 
 
 # -- canonical isomorphisms ---------------------------------------------
@@ -143,27 +149,36 @@ def _require_tirs(report: ConditionReport):
 def alpha(g: Graph) -> GraphMorphism:
     """The canonical isomorphism x |-> ([x]_1, [x]_2) from a TiRS graph onto
     gr(rho(g)), verified to be a graph isomorphism."""
+    return _alpha(g)[0]
+
+
+def _alpha(g: Graph) -> tuple[GraphMorphism, Frame]:
+    """alpha(g) and rho(g); the morphism's target is gr(rho(g))."""
     _require_tirs(check_graph(g))
     f = rho(g)
     cls1, cls2 = f.meta["class1"], f.meta["class2"]
     target = gr(f)
     mapping = {}
-    tv = set(target.vertices)
     for x in g.vertices:
         v = _pair_name(cls1[x], cls2[x])
-        if v not in tv:
+        if v not in target.index:
             raise IsoVerificationFailed(f"alpha image {v} is not an H-vertex")
         mapping[x] = v
     m = GraphMorphism(g, target, mapping)
     if not _is_graph_iso(m):
         raise IsoVerificationFailed("alpha is not a graph isomorphism")
-    return m
+    return m, f
 
 
 def beta(f: Frame) -> FrameMorphism:
     """The canonical isomorphism pair from a TiRS frame onto rho(gr(f)),
     sending x to the row class of any H-pair (x, y) and y to the column
     class of any H-pair (x, y); verified well defined and bijective."""
+    return _beta(f)[0]
+
+
+def _beta(f: Frame) -> tuple[FrameMorphism, Graph]:
+    """beta(f) and gr(f); the morphism's target is rho(gr(f))."""
     _require_tirs(check_frame(f))
     target_graph = gr(f)
     target = rho(target_graph)
@@ -181,7 +196,7 @@ def beta(f: Frame) -> FrameMorphism:
     m = FrameMorphism(f, target, map1, map2)
     if not _is_frame_iso(m):
         raise IsoVerificationFailed("beta is not a frame isomorphism")
-    return m
+    return m, target_graph
 
 
 def _permutes(perm, rows1, rows2) -> bool:
@@ -252,10 +267,10 @@ def validate_graph_morphism(m: GraphMorphism,
     (row_g, col_g), (row_h, col_h) = g.supersets, h.supersets
 
     def gen():
-        for (a, b) in sorted(g.edges):
-            if not h.has(m.map[a], m.map[b]):
-                yield Witness("i", (a, b))
         vs = g.vertices
+        for a, b in _name_order(g.succ, vs, vs):
+            if not h.succ[img[a]] >> img[b] & 1:
+                yield Witness("i", (vs[a], vs[b]))
         for a, ia in enumerate(img):
             for b in bits(row_g[a] | col_g[a]):
                 if row_g[a] >> b & 1 and not row_h[ia] >> img[b] & 1:
@@ -300,7 +315,11 @@ def rho_mor(m: GraphMorphism) -> FrameMorphism:
     """Image of a graph morphism under rho: classes map to classes of the
     images.  Well-definedness and the frame-morphism clauses are verified
     rather than trusted."""
-    src, tgt = rho(m.source), rho(m.target)
+    return _rho_mor(m, rho(m.source), rho(m.target))
+
+
+def _rho_mor(m: GraphMorphism, src: Frame, tgt: Frame) -> FrameMorphism:
+    """rho_mor(m), given src = rho(m.source) and tgt = rho(m.target)."""
     c1s, c2s = src.meta["class1"], src.meta["class2"]
     c1t, c2t = tgt.meta["class1"], tgt.meta["class2"]
     map1, map2 = {}, {}
@@ -322,7 +341,12 @@ def gr_mor(m: FrameMorphism) -> GraphMorphism:
     """Image of a frame morphism under gr: (x, y) |-> (psi1 x, psi2 y).
     Every H-vertex must land on an H-vertex; the graph-morphism clauses are
     verified."""
-    src, tgt, g = gr(m.source), gr(m.target), m.target
+    return _gr_mor(m, gr(m.source), gr(m.target))
+
+
+def _gr_mor(m: FrameMorphism, src: Graph, tgt: Graph) -> GraphMorphism:
+    """gr_mor(m), given src = gr(m.source) and tgt = gr(m.target)."""
+    g = m.target
     mapping = {}
     for (x, y) in h_set(m.source):
         img = (m.map1[x], m.map2[y])
@@ -344,15 +368,21 @@ def check_naturality(m) -> CheckReport:
     structures: gr(rho(phi)) o alpha = alpha o phi for graphs, and
     rho(gr(psi)) o beta = beta o psi for frames, checked pointwise."""
     bad = []
+    # rho and gr run once per distinct carrier: alpha and beta build the
+    # images the functor image reuses, and equal carriers share them
     if isinstance(m, GraphMorphism):
-        a_src, a_tgt = alpha(m.source), alpha(m.target)
-        functor_image = gr_mor(rho_mor(m))
+        alpha_of = functools.cache(_alpha)
+        (a_src, f_src), (a_tgt, f_tgt) = map(alpha_of, (m.source, m.target))
+        functor_image = _gr_mor(_rho_mor(m, f_src, f_tgt), a_src.target,
+                                a_tgt.target)
         for x in m.source.vertices:
             if functor_image.map[a_src.map[x]] != a_tgt.map[m.map[x]]:
                 bad.append(Witness("naturality", (x,)))
     elif isinstance(m, FrameMorphism):
-        b_src, b_tgt = beta(m.source), beta(m.target)
-        functor_image = rho_mor(gr_mor(m))
+        beta_of = functools.cache(_beta)
+        (b_src, g_src), (b_tgt, g_tgt) = map(beta_of, (m.source, m.target))
+        functor_image = _rho_mor(_gr_mor(m, g_src, g_tgt), b_src.target,
+                                 b_tgt.target)
         for x in m.source.x1:
             if functor_image.map1[b_src.map1[x]] != b_tgt.map1[m.map1[x]]:
                 bad.append(Witness("naturality-1", (x,)))

@@ -75,12 +75,6 @@ class GaloisLattice:
     j_infty: frozenset[str]  # element names of the lattice view
     m_infty: frozenset[str]
 
-    def set_of(self, name: str) -> frozenset[str]:
-        return self.closed_sets[self.as_lattice.index(name)]
-
-    def name_of(self, s: frozenset[str]) -> str:
-        return _set_name(s)
-
     def to_json(self) -> dict:
         d = self.as_lattice.to_json()
         d["closed_sets"] = [sorted(s) for s in self.closed_sets]
@@ -154,11 +148,10 @@ def frame_of_perfect(C: FiniteLattice) -> Frame:
     rep = check_perfect(C)
     if not rep:
         raise NotPerfect(rep.witnesses[0].elements[0])
-    jmask, mmask = C.irreducible_masks
-    r = frozenset((C.name(a), C.name(b))
-                  for a in bits(jmask) for b in bits(C.ups[a] & mmask))
-    return Frame(tuple(C.name(a) for a in bits(jmask)),
-                 tuple(C.name(b) for b in bits(mmask)), r)
+    js, ms = (list(bits(m)) for m in C.irreducible_masks)
+    return Frame._from_masks(tuple(map(C.name, js)), tuple(map(C.name, ms)),
+                             [sum(1 << k for k, b in enumerate(ms)
+                                  if C.ups[a] >> b & 1) for a in js])
 
 
 def canext_tandem(L: FiniteLattice):
@@ -197,11 +190,8 @@ def canext_polarity(L: FiniteLattice):
     """
     # F_i is the filter up(i) and I_j the ideal down(j); the two meet,
     # up[i] & down[j] != 0, iff i <= j
-    fnames = [f"F{i}" for i in range(L.n)]
-    inames = [f"I{i}" for i in range(L.n)]
-    r = frozenset((fnames[i], inames[j])
-                  for i in range(L.n) for j in bits(L.ups[i]))
-    frame = Frame(tuple(fnames), tuple(inames), r)
+    frame = Frame._from_masks(tuple(f"F{i}" for i in range(L.n)),
+                              tuple(f"I{j}" for j in range(L.n)), L.ups)
     gl = closed_sets(frame)
 
     emb_map = tuple(_closed_index(gl, _names(_close(frame, 1 << a), frame.x1),

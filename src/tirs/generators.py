@@ -67,10 +67,10 @@ def _random_strict_order(n: int, rng: random.Random) -> set[tuple[int, int]]:
 
 
 def _poset_graph(n: int, strict: set[tuple[int, int]]) -> Graph:
-    vs = tuple(f"v{i}" for i in range(n))
-    edges = frozenset({(vs[i], vs[i]) for i in range(n)}
-                      | {(vs[a], vs[b]) for a, b in strict})
-    return Graph(vs, edges)
+    succ = [1 << i for i in range(n)]
+    for a, b in strict:
+        succ[a] |= 1 << b
+    return Graph._from_masks(tuple(f"v{i}" for i in range(n)), succ)
 
 
 def _enumerate_strict_orders(n: int):
@@ -112,7 +112,7 @@ def _downset_lattice(g: Graph) -> FiniteLattice:
 def _dm_completion(g: Graph) -> FiniteLattice:
     """Dedekind-MacNeille completion of a poset graph, computed as the
     Galois-closed sets of the order polarity (P, P, <=)."""
-    frame = Frame(g.vertices, g.vertices, frozenset(g.edges))
+    frame = Frame._from_masks(g.vertices, g.vertices, g.succ)
     return closed_sets(frame).as_lattice
 
 
@@ -173,17 +173,16 @@ def gen_rs_frame(spec: GenSpec) -> list[Frame]:
     """RS frames with both sides of the given size: rejection-sampled random
     relations, or (exhaustive) all relation patterns that pass RS."""
     _expect_kind(spec, ("rs-frame",))
-    x1 = tuple(f"x{i}" for i in range(spec.size))
-    x2 = tuple(f"y{i}" for i in range(spec.size))
-    cells = [(a, b) for a in x1 for b in x2]
+    n = spec.size
+    x1 = tuple(f"x{i}" for i in range(n))
+    x2 = tuple(f"y{i}" for i in range(n))
     if spec.exhaustive:
-        out = []
-        for mask in range(2 ** len(cells)):
-            r = frozenset(c for k, c in enumerate(cells) if mask >> k & 1)
-            f = Frame(x1, x2, r)
-            if check_frame(f).is_rs:
-                out.append(f)
-        return out
+        # bit a * n + b of mask relates x_a to y_b
+        full = (1 << n) - 1
+        frames = (Frame._from_masks(x1, x2, [mask >> a * n & full
+                                             for a in range(n)])
+                  for mask in range(2 ** (n * n)))
+        return [f for f in frames if check_frame(f).is_rs]
     rng = random.Random(spec.seed)
     out = []
     attempts = 0
@@ -192,8 +191,9 @@ def gen_rs_frame(spec: GenSpec) -> list[Frame]:
         if attempts > 2000 * spec.count:
             raise SizeUnreachable(
                 f"no RS frame at size {spec.size} after {attempts} tries")
-        r = frozenset(c for c in cells if rng.random() < 0.5)
-        f = Frame(x1, x2, r)
+        f = Frame._from_masks(x1, x2, [
+            sum(1 << b for b in range(n) if rng.random() < 0.5)
+            for _ in range(n)])
         if check_frame(f).is_rs:
             out.append(f)
     return out

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import InvalidInput, UnsupportedKind
 from .lattice import FiniteLattice, build_lattice
-from .structures import Frame, Graph
+from .structures import Frame, Graph, _sorted_pairs
 
 
 def detect_kind(payload: dict) -> str:
@@ -58,12 +58,10 @@ def parse_structure(payload: dict):
         return build_lattice(payload["elements"],
                              [tuple(p) for p in payload["covers"]])
     if kind == "graph":
-        return Graph(tuple(payload["vertices"]),
-                     frozenset(tuple(e) for e in payload["edges"]),
+        return Graph(payload["vertices"], payload["edges"],
                      payload.get("meta", {}))
     if kind == "frame":
-        return Frame(tuple(payload["x1"]), tuple(payload["x2"]),
-                     frozenset(tuple(e) for e in payload["r"]),
+        return Frame(payload["x1"], payload["x2"], payload["r"],
                      payload.get("meta", {}))
     return payload  # morphisms stay raw; they need source/target context
 
@@ -98,7 +96,7 @@ def export_dot(obj, include_loops: bool = False) -> str:
         lines = ["digraph G {"]
         for v in obj.vertices:
             lines.append(f"  {_quote(v)};")
-        for a, b in sorted(obj.edges):
+        for a, b in _sorted_pairs(obj.succ, obj.vertices, obj.vertices):
             if a == b and not include_loops:
                 continue
             lines.append(f"  {_quote(a)} -> {_quote(b)};")
@@ -110,7 +108,7 @@ def export_dot(obj, include_loops: bool = False) -> str:
             lines.append(f"  {_quote('1:' + x)} [shape=box];")
         for y in obj.x2:
             lines.append(f"  {_quote('2:' + y)} [shape=ellipse];")
-        for a, b in sorted(obj.r):
+        for a, b in _sorted_pairs(obj.rows, obj.x1, obj.x2):
             lines.append(f"  {_quote('1:' + a)} -> {_quote('2:' + b)};")
         lines.append("}")
         return "\n".join(lines)

@@ -255,10 +255,21 @@ def lattice_from_leq(elements, leq_pairs) -> FiniteLattice:
     ``leq_pairs`` are name pairs; the relation must be a lattice order with
     bounds or the corresponding error is raised.
     """
+    elements, rel = _index_pairs(elements, leq_pairs, "leq pair")
+    return _finish_lattice(elements, frozenset(rel))
+
+
+def _index_pairs(elements, pairs, what: str):
+    """The names as a tuple and the name pairs as index pairs; ValueError
+    on a repeated name or a pair naming an unknown element."""
     elements = tuple(elements)
+    if len(set(elements)) != len(elements):
+        raise ValueError("duplicate element names")
     idx = {e: i for i, e in enumerate(elements)}
-    rel = frozenset((idx[a], idx[b]) for a, b in leq_pairs)
-    return _finish_lattice(elements, rel)
+    try:
+        return elements, {(idx[a], idx[b]) for a, b in pairs}
+    except KeyError as exc:
+        raise ValueError(f"{what} references unknown element {exc}") from exc
 
 
 def build_lattice(elements, covers) -> FiniteLattice:
@@ -267,14 +278,7 @@ def build_lattice(elements, covers) -> FiniteLattice:
     The full order is the reflexive-transitive closure of ``covers``.
     Raises NotAPartialOrder, NotALattice or NoBounds on bad input.
     """
-    elements = tuple(elements)
-    if len(set(elements)) != len(elements):
-        raise ValueError("duplicate element names")
-    idx = {e: i for i, e in enumerate(elements)}
-    try:
-        pairs = {(idx[a], idx[b]) for a, b in covers}
-    except KeyError as exc:
-        raise ValueError(f"cover references unknown element {exc}") from exc
+    elements, pairs = _index_pairs(elements, covers, "cover")
     n = len(elements)
     rel = transitive_closure(n, pairs | {(i, i) for i in range(n)})
     return _finish_lattice(elements, frozenset(rel))

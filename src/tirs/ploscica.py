@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateLattice, MismatchedCarrier
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, bits
 from .structures import Graph, subset
 
 
@@ -69,12 +69,15 @@ def dual_graph(L: FiniteLattice) -> Graph:
     on the shared domain; the tests check the two against each other.
     """
     pairs = maximal_pairs(L)
-    names = [f"p{i}" for i in range(len(pairs))]
-    ones = [L.ups[p.x] for p in pairs]
-    zeros = [L.downs[p.y] for p in pairs]
-    edges = frozenset((names[i], names[j])
-                      for i in range(len(pairs)) for j in range(len(pairs))
-                      if not ones[i] & zeros[j])
+    names = tuple(f"p{i}" for i in range(len(pairs)))
+    # up(x_f) meets down(y_g) iff x_f <= y_g; at_y[y] masks the g with
+    # y_g = y, so f's non-successors are the at_y[y] over the y above x_f
+    at_y = [0] * L.n
+    for j, p in enumerate(pairs):
+        at_y[p.y] |= 1 << j
+    full = (1 << len(pairs)) - 1
     meta = {names[i]: {"ones": p.ones_names(), "zeros": p.zeros_names()}
             for i, p in enumerate(pairs)}
-    return Graph(tuple(names), edges, meta)
+    return Graph._from_masks(
+        names, [full & ~sum(at_y[y] for y in bits(L.ups[p.x])) for p in pairs],
+        meta)

@@ -23,43 +23,93 @@ def _names(mask: int, names) -> frozenset[str]:
     return frozenset(names[i] for i in bits(mask))
 
 
-def _relation(names1, names2, pairs, duplicate, unknown):
-    """The index maps of two carriers, then the row masks (over names2) and
-    column masks (over names1) of a relation between them, in one pass."""
-    index1 = {v: i for i, v in enumerate(names1)}
-    index2 = index1 if names2 is names1 else \
-        {v: i for i, v in enumerate(names2)}
-    if len(index1) != len(names1) or len(index2) != len(names2):
+def _index(names, duplicate: str) -> dict[str, int]:
+    index = {v: i for i, v in enumerate(names)}
+    if len(index) != len(names):
         raise InvalidInput(duplicate)
-    rows, cols = [0] * len(names1), [0] * len(names2)
+    return index
+
+
+def _relation(index1, index2, pairs, unknown: str) -> list[int]:
+    """The row masks (over index2) of a relation given as name pairs."""
+    rows = [0] * len(index1)
     try:
         for a, b in pairs:
-            i, j = index1[a], index2[b]
-            rows[i] |= 1 << j
-            cols[j] |= 1 << i
+            rows[index1[a]] |= 1 << index2[b]
     except KeyError:
         raise InvalidInput(unknown) from None
-    return index1, index2, tuple(rows), tuple(cols)
+    return rows
 
 
-@dataclass(frozen=True)
+def _new(cls, *args, **kwargs):
+    """The body of Graph._from_masks and Frame._from_masks: an instance
+    built by its _init from names, masks and meta, skipping __init__."""
+    obj = object.__new__(cls)
+    obj._init(*args, **kwargs)
+    return obj
+
+
+def _transpose(rows, width: int) -> tuple[int, ...]:
+    """The column masks of row masks over range(width): bit i of column j
+    is bit j of rows[i].  A small table is walked bit by bit; a larger one
+    is written as bit strings, lowest bit first, which zip transposes."""
+    if len(rows) * width <= 64:
+        cols = [0] * width
+        for i, row in enumerate(rows):
+            for j in bits(row):
+                cols[j] |= 1 << i
+        return tuple(cols)
+    digits = [format(row, f"0{width}b")[::-1] for row in rows]
+    return tuple(int("".join(col)[::-1], 2) for col in zip(*digits))
+
+
+def _name_order(rows, names1, names2) -> list[tuple[int, int]]:
+    """The index pairs (i, j) with bit j of rows[i] set, ordered by
+    (names1[i], names2[j]): the order of the sorted name pairs."""
+    rank1 = sorted(range(len(names1)), key=names1.__getitem__)
+    rank2 = sorted(range(len(names2)), key=names2.__getitem__)
+    return [(i, j) for i in rank1 if rows[i] for j in rank2
+            if rows[i] >> j & 1]
+
+
+def _sorted_pairs(rows, names1, names2) -> list[list[str]]:
+    return [[names1[i], names2[j]] for i, j in _name_order(rows, names1,
+                                                           names2)]
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Vertices and edges E.  The relation is also held as index masks
-    built at construction: succ[i] has bit j set, and pred[j] bit i, iff
-    (v_i, v_j) is an edge; index maps each vertex to its position.  The
-    cached supersets holds row and column inclusion."""
+    """Vertices and the relation E, held as index masks: succ[i] has bit j
+    set, and pred[j] bit i, iff (v_i, v_j) is an edge; index maps each
+    vertex to its position.  Graph(vertices, edges, meta) reads name pairs
+    and Graph._from_masks(vertices, succ, meta) takes the masks.  edges,
+    the name pairs, is a view and supersets the row and column inclusion,
+    both cached on first read."""
 
     vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    succ: tuple[int, ...]
     # optional per-vertex metadata (e.g. the maximal pair behind a dual-graph
     # vertex); not part of equality
-    meta: dict = field(default_factory=dict, compare=False, hash=False)
+    meta: dict = field(compare=False, hash=False)
 
-    def __post_init__(self):
-        index, _, succ, pred = _relation(
-            self.vertices, self.vertices, self.edges,
-            "duplicate vertex names", "an edge references an unknown vertex")
-        vars(self).update(index=index, succ=succ, pred=pred)
+    def __init__(self, vertices, edges, meta=None):
+        self._init(vertices, None, meta, edges)
+
+    _from_masks = classmethod(_new)
+
+    def _init(self, vertices, succ, meta=None, edges=None):
+        index = _index(vertices, "duplicate vertex names")
+        succ = tuple(succ if edges is None else _relation(
+            index, index, edges, "an edge references an unknown vertex"))
+        vars(self).update(vertices=tuple(vertices), succ=succ,
+                          meta={} if meta is None else meta, index=index,
+                          pred=_transpose(succ, len(vertices)))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        vs = self.vertices
+        return frozenset((vs[i], vs[j]) for i, row in enumerate(self.succ)
+                         for j in bits(row))
 
     @cached_property
     def supersets(self) -> tuple[list[int], list[int]]:
@@ -75,33 +125,49 @@ class Graph:
         return _names(self.pred[self.index[x]], self.vertices)
 
     def has(self, a: str, b: str) -> bool:
-        return (a, b) in self.edges
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and self.succ[i] >> j & 1 == 1
 
     def to_json(self) -> dict:
         d = {"vertices": list(self.vertices),
-             "edges": sorted(map(list, self.edges))}
+             "edges": _sorted_pairs(self.succ, self.vertices, self.vertices)}
         if self.meta:
             d["meta"] = {k: v for k, v in sorted(self.meta.items())}
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Frame:
-    """Carriers X1, X2 and R between them, also held as index masks built at
-    construction: rows[i] is the mask over X2 of the row of x1[i], cols[j]
-    the mask over X1 of the column of x2[j]; index1 and index2 map each
-    point to its position.  The cached table is the frame's _HTable."""
+    """Carriers X1, X2 and R between them, held as index masks: rows[i] is
+    the mask over X2 of the row of x1[i], cols[j] the mask over X1 of the
+    column of x2[j]; index1 and index2 map each point to its position.
+    Frame(x1, x2, r, meta) reads name pairs and Frame._from_masks(x1, x2,
+    rows, meta) takes the masks.  r, the name pairs, is a view and table
+    the frame's _HTable, both cached on first read."""
 
     x1: tuple[str, ...]
     x2: tuple[str, ...]
-    r: frozenset[tuple[str, str]]
-    meta: dict = field(default_factory=dict, compare=False, hash=False)
+    rows: tuple[int, ...]
+    meta: dict = field(compare=False, hash=False)
 
-    def __post_init__(self):
-        index1, index2, rows, cols = _relation(
-            self.x1, self.x2, self.r, "duplicate point names within x1 or x2",
-            "a pair in r references an unknown point")
-        vars(self).update(index1=index1, index2=index2, rows=rows, cols=cols)
+    def __init__(self, x1, x2, r, meta=None):
+        self._init(x1, x2, None, meta, r)
+
+    _from_masks = classmethod(_new)
+
+    def _init(self, x1, x2, rows, meta=None, r=None):
+        duplicate = "duplicate point names within x1 or x2"
+        index1, index2 = _index(x1, duplicate), _index(x2, duplicate)
+        rows = tuple(rows if r is None else _relation(
+            index1, index2, r, "a pair in r references an unknown point"))
+        vars(self).update(x1=tuple(x1), x2=tuple(x2), rows=rows,
+                          meta={} if meta is None else meta, index1=index1,
+                          index2=index2, cols=_transpose(rows, len(x2)))
+
+    @cached_property
+    def r(self) -> frozenset[tuple[str, str]]:
+        return frozenset((self.x1[i], self.x2[j])
+                         for i, row in enumerate(self.rows) for j in bits(row))
 
     @cached_property
     def table(self) -> _HTable:
@@ -116,11 +182,12 @@ class Frame:
         return _names(self.cols[self.index2[y]], self.x1)
 
     def has(self, x: str, y: str) -> bool:
-        return (x, y) in self.r
+        i, j = self.index1.get(x), self.index2.get(y)
+        return i is not None and j is not None and self.rows[i] >> j & 1 == 1
 
     def to_json(self) -> dict:
         d = {"x1": list(self.x1), "x2": list(self.x2),
-             "r": sorted(map(list, self.r))}
+             "r": _sorted_pairs(self.rows, self.x1, self.x2)}
         if self.meta:
             d["meta"] = {k: v for k, v in sorted(self.meta.items())}
         return d
@@ -172,9 +239,13 @@ def subset(a: int, b: int) -> bool:
 
 
 def _supersets(masks) -> list[int]:
-    """For each i, the mask of the j with masks[i] a subset of masks[j]."""
-    return [sum(1 << j for j, b in enumerate(masks) if subset(a, b))
-            for a in masks]
+    """For each i, the mask of the j with masks[i] a subset of masks[j].
+    Equal masks are compared once: a dual graph repeats its rows."""
+    held = {}  # each distinct mask -> the indices holding it
+    for j, b in enumerate(masks):
+        held[b] = held.get(b, 0) | 1 << j
+    up = {a: sum(js for b, js in held.items() if subset(a, b)) for a in held}
+    return [up[a] for a in masks]
 
 
 def _equal_pairs(keys, names, label):
@@ -194,14 +265,17 @@ def check_graph(g: Graph, all_witnesses: bool = False) -> ConditionReport:
 
     def cond_r():
         # an edge z -> x with row(z) strictly inside row(x), and an edge
-        # y -> z with col(z) strictly inside col(y)
+        # y -> z with col(z) strictly inside col(y); down_col[y] masks the
+        # z whose column lies inside col(y)
+        up_row, up_col = g.supersets
         for z in range(n):
-            for x in bits(succ[z]):
-                if succ[z] != succ[x] and subset(succ[z], succ[x]):
+            for x in bits(succ[z] & up_row[z]):
+                if succ[x] != succ[z]:
                     yield Witness("R(i)", (vs[z], vs[x]))
+        down_col = _transpose(up_col, n)
         for y in range(n):
-            for z in bits(succ[y]):
-                if pred[z] != pred[y] and subset(pred[z], pred[y]):
+            for z in bits(succ[y] & down_col[y]):
+                if pred[z] != pred[y]:
                     yield Witness("R(ii)", (vs[y], vs[z]))
 
     def cond_ti():
@@ -292,18 +366,18 @@ def ti_failures(f: Frame):
 def is_poset_graph(g: Graph, all_witnesses: bool = False) -> CheckReport:
     """True iff E is reflexive, transitive and antisymmetric (the Birkhoff
     special case: dual graphs of distributive lattices are posets)."""
-    vs, succ, index = g.vertices, g.succ, g.index
-    edges = sorted(g.edges)
+    vs, succ = g.vertices, g.succ
+    edges = _name_order(succ, vs, vs)
 
     def gen():
         for i, x in enumerate(vs):
             if not succ[i] >> i & 1:
                 yield Witness("reflexive", (x,))
         for x, y in edges:
-            if x != y and g.has(y, x):
-                yield Witness("antisymmetric", (x, y))
+            if x != y and succ[y] >> x & 1:
+                yield Witness("antisymmetric", (vs[x], vs[y]))
         for x, y in edges:
-            for z in sorted(_names(succ[index[y]] & ~succ[index[x]], vs)):
-                yield Witness("transitive", (x, y, z))
+            for z in sorted(_names(succ[y] & ~succ[x], vs)):
+                yield Witness("transitive", (vs[x], vs[y], z))
 
     return _collect(gen(), all_witnesses)

@@ -7,6 +7,7 @@ deliberately independent of the code paths it is used to check.
 from __future__ import annotations
 
 import itertools
+import random
 
 from tirs.errors import NoBounds, NotALattice, NotAPartialOrder, NotPerfect
 from tirs.galois import GaloisLattice
@@ -702,3 +703,65 @@ def set_lattice_iso(L1: FiniteLattice, L2: FiniteLattice):
     if bt(0):
         return {L1.name(a): L2.name(b) for a, b in assign.items()}
     return None
+
+
+# -- the builders on name pairs --------------------------------------------
+#
+# The library builds graphs and frames as masks (Graph._from_masks,
+# Frame._from_masks).  These are the bodies that emitted name pairs and
+# went through the public constructors, with every order test a set lookup.
+
+
+def set_dual_graph(L: FiniteLattice) -> Graph:
+    """Maximal pairs in (x, y) order named p0, p1, ..., an edge (f, g) iff
+    the filter of f and the ideal of g are disjoint."""
+    pairs = set_maximal_pairs(L)
+    names = [f"p{i}" for i in range(len(pairs))]
+    ones = [frozenset(b for b in range(L.n) if (x, b) in L.leq)
+            for x, _ in pairs]
+    zeros = [frozenset(b for b in range(L.n) if (b, y) in L.leq)
+             for _, y in pairs]
+    edges = frozenset((names[i], names[j]) for i in range(len(pairs))
+                      for j in range(len(pairs)) if not ones[i] & zeros[j])
+    meta = {names[i]: {"ones": sorted(map(L.name, ones[i])),
+                       "zeros": sorted(map(L.name, zeros[i]))}
+            for i in range(len(pairs))}
+    return Graph(tuple(names), edges, meta)
+
+
+def set_gr(f: Frame) -> Graph:
+    """The H-pairs as vertices, an edge ((x, y), (w, z)) iff (x, z) is not
+    in R."""
+    hs = set_h_set(f)
+    names = {p: f"({p[0]},{p[1]})" for p in hs}
+    edges = frozenset((names[(x, y)], names[(w, z)])
+                      for (x, y) in hs for (w, z) in hs if (x, z) not in f.r)
+    return Graph(tuple(names[p] for p in hs), edges,
+                 {names[p]: {"pair": list(p)} for p in hs})
+
+
+def set_poset_graph(n: int, strict) -> Graph:
+    vs = tuple(f"v{i}" for i in range(n))
+    return Graph(vs, frozenset({(v, v) for v in vs}
+                               | {(vs[a], vs[b]) for a, b in strict}))
+
+
+def set_gen_rs_frame(spec) -> list[Frame]:
+    """gen_rs_frame on cell lists: every relation in cell-mask order, or
+    one coin per cell, in row order, for each random candidate."""
+    x1 = tuple(f"x{i}" for i in range(spec.size))
+    x2 = tuple(f"y{i}" for i in range(spec.size))
+    cells = [(a, b) for a in x1 for b in x2]
+
+    def rs(f):
+        return set_check_frame(f).is_rs
+
+    if spec.exhaustive:
+        return [f for f in all_frames(spec.size, spec.size) if rs(f)]
+    rng = random.Random(spec.seed)
+    out = []
+    while len(out) < spec.count:
+        f = Frame(x1, x2, frozenset(c for c in cells if rng.random() < 0.5))
+        if rs(f):
+            out.append(f)
+    return out

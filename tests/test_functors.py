@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from tirs import fixtures
+from tirs import fixtures, functors
 from tirs.errors import NotTiRS
 from tirs.functors import (FrameMorphism, GraphMorphism, alpha, beta,
                            check_naturality, compose_frame, compose_graph,
@@ -253,6 +254,48 @@ class TestNaturality:
                 continue
             assert check_naturality(GraphMorphism(p, q, mapping))
             done += 1
+
+
+class TestNaturalityBuildsEachImageOnce:
+    """check_naturality runs rho and gr once per distinct carrier: alpha
+    and beta build the images that the functor image reuses."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts, alive = Counter(), []
+        for name in ("rho", "gr"):
+            def counted(x, fn=getattr(functors, name), name=name):
+                alive.append(x)
+                counts[name, id(x)] += 1
+                return fn(x)
+            monkeypatch.setattr(functors, name, counted)
+        return counts
+
+    def test_identity_graph_morphism(self, calls):
+        g = dual_graph(fixtures.n5())
+        assert check_naturality(identity_graph_morphism(g))
+        assert calls[("rho", id(g))] == 1
+        assert sorted(calls.values()) == [1, 1]
+
+    def test_identity_frame_morphism(self, calls):
+        f = fixtures.ladder_truncation(3)
+        assert check_naturality(identity_frame_morphism(f))
+        assert calls[("gr", id(f))] == 1
+        assert sorted(calls.values()) == [1, 1]
+
+    def test_equal_carriers_share_their_images(self, calls):
+        g = dual_graph(fixtures.n5())
+        copy = Graph(g.vertices, g.edges)
+        assert check_naturality(GraphMorphism(g, copy, {v: v for v in
+                                                        g.vertices}))
+        assert calls[("rho", id(g))] == 1
+        assert sorted(calls.values()) == [1, 1]
+
+    def test_distinct_carriers_get_one_image_each(self, calls):
+        g = dual_graph(fixtures.n5())
+        m = GraphMorphism(g, loop_graph(), {v: "v" for v in g.vertices})
+        assert check_naturality(m)
+        assert sorted(calls.values()) == [1, 1, 1, 1]
 
 
 class TestCompositionLaws:

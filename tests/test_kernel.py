@@ -3,17 +3,22 @@ set-based bodies in oracles.py: same verdicts, same witnesses in the same
 order, same tables, frames and isomorphisms, and the same errors."""
 
 import itertools
+import json
 import random
 
 import pytest
 
-from tirs.errors import TirsError
+from tirs import fixtures
+from tirs.errors import InvalidInput, TirsError
 from tirs.functors import (FrameMorphism, GraphMorphism, _is_frame_iso,
-                           _is_graph_iso, frame_iso, graph_iso, h_set, rho,
-                           validate_frame_morphism, validate_graph_morphism)
+                           _is_graph_iso, frame_iso, gr, graph_iso, h_set,
+                           rho, validate_frame_morphism,
+                           validate_graph_morphism)
 from tirs.galois import (_generation_failures, canext_polarity, closed_sets,
                          closure, frame_of_perfect, galois_down, galois_up)
-from tirs.generators import GenSpec, _enumerate_strict_orders, gen_lattice
+from tirs.generators import (GenSpec, _enumerate_strict_orders,
+                             _poset_graph, _random_strict_order, gen_lattice,
+                             gen_rs_frame)
 from tirs.lattice import (_finish_lattice, build_lattice, irreducibles,
                           lattice_iso, transitive_closure)
 from tirs.ploscica import dual_graph, maximal_pairs
@@ -23,9 +28,11 @@ from tirs.structures import Frame, Graph, check_frame, check_graph, \
 
 from oracles import (all_frames, all_graphs, set_check_frame,
                      set_check_graph, set_closed_sets, set_closure,
-                     set_covers, set_finish_lattice, set_frame_iso,
-                     set_frame_of_perfect, set_galois_down, set_galois_up,
-                     set_generation_failures, set_graph_iso, set_h_set,
+                     set_covers, set_dual_graph, set_finish_lattice,
+                     set_frame_iso, set_frame_of_perfect, set_galois_down,
+                     set_galois_up, set_gen_rs_frame,
+                     set_generation_failures, set_gr, set_graph_iso,
+                     set_h_set, set_poset_graph,
                      set_irreducibles, set_is_frame_iso, set_is_graph_iso,
                      set_is_poset_graph, set_lattice_iso,
                      set_lower_covers, set_maximal_pairs, set_polarity_frame,
@@ -92,6 +99,130 @@ def test_rho_matches_the_set_rho(family):
         assert (f.x1, f.x2, f.r) == (want.x1, want.x2, want.r)
         assert f.meta == want.meta
         assert list(f.meta["class1"]) == list(want.meta["class1"])
+
+
+@pytest.mark.parametrize("family", sorted(GRAPHS))
+def test_rho_frames_match_the_set_builder(family):
+    for g in GRAPHS[family]():
+        assert_same_carrier(rho(g), set_rho(g))
+
+
+def assert_same_carrier(got, want):
+    """got, built from masks, and want, built from name pairs, look the
+    same to a caller: equality, hash, JSON text, the name-pair view, the
+    transposed masks and the meta with its key order."""
+    assert type(got) is type(want)
+    assert got == want and hash(got) == hash(want)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert list(got.meta.items()) == list(want.meta.items())
+    if isinstance(want, Graph):
+        assert (got.edges, got.pred, got.index) == \
+            (want.edges, want.pred, want.index)
+    else:
+        assert (got.r, got.cols, got.index1, got.index2) == \
+            (want.r, want.cols, want.index1, want.index2)
+
+
+def test_random_graphs_meet_the_set_r_check():
+    """(R) with all witnesses on every relation on 1-3 vertices and on
+    2,000 random relations on 4-6 vertices."""
+    rng = random.Random(12)
+    graphs = [g for n in (1, 2, 3) for g in all_graphs(n)]
+    for _ in range(2000):
+        vs = tuple(f"v{i}" for i in range(rng.randint(4, 6)))
+        density = rng.random()
+        graphs.append(Graph(vs, frozenset(
+            (a, b) for a in vs for b in vs if rng.random() < density)))
+    failing = 0
+    for g in graphs:
+        got = check_graph(g, all_witnesses=True)
+        assert got == set_check_graph(g, all_witnesses=True)
+        failing += not got.condR
+    assert 0 < failing < len(graphs)
+
+
+def test_the_views_and_transposes_match_the_name_pairs():
+    """Random relations on shuffled names, empty carriers included: the
+    edges/r views give back the pairs, rows and columns are the pairs'
+    rows and columns, JSON lists them sorted, and has reads them.  The
+    sizes reach past 8 x 8, where the transpose switches method."""
+    rng = random.Random(13)
+    for _ in range(400):
+        x1, x2 = ([f"{rng.choice(letters)}{i}"
+                   for i in range(rng.randint(0, 14))]
+                  for letters in ("ab", "yz"))
+        rng.shuffle(x1)
+        x1, x2 = tuple(x1), tuple(x2)
+        density = rng.random()
+        r = frozenset((a, b) for a in x1 for b in x2 if rng.random() < density)
+        f = Frame(x1, x2, list(r))
+        assert (len(f.rows), len(f.cols)) == (len(x1), len(x2))
+        assert f.r == r and f.to_json()["r"] == sorted(map(list, r))
+        assert all(f.row(a) == {b for a2, b in r if a2 == a} for a in x1)
+        assert all(f.col(b) == {a for a, b2 in r if b2 == b} for b in x2)
+        e = frozenset((a, b) for a in x1 for b in x1 if rng.random() < density)
+        g = Graph(x1, e)
+        assert g.edges == e and g.to_json()["edges"] == sorted(map(list, e))
+        assert all(g.col(b) == {a for a, b2 in e if b2 == b} for b in x1)
+        assert all(g.has(a, b) == ((a, b) in e) for a in x1 for b in x1)
+        assert all(f.has(a, b) == ((a, b) in r) for a in x1 for b in x2)
+        assert not g.has("?", "?") and not f.has("?", "?")
+        for v in x1:
+            assert not g.has(v, "?") and not g.has("?", v)
+            assert not f.has(v, "?") and not f.has("?", v)
+
+
+def test_mask_constructors_refuse_repeated_names():
+    with pytest.raises(InvalidInput, match="duplicate vertex names"):
+        Graph._from_masks(("a", "a"), [0, 0])
+    with pytest.raises(InvalidInput, match="duplicate point names"):
+        Frame._from_masks(("a",), ("b", "b"), [0])
+
+
+def builder_lattices():
+    return [*fixtures.all_lattices().values(), *families()]
+
+
+def test_dual_graph_matches_the_set_builder():
+    for L in builder_lattices():
+        if L.n >= 2:
+            assert_same_carrier(dual_graph(L), set_dual_graph(L))
+
+
+def test_gr_matches_the_set_builder():
+    frames = [f for shape in SHAPES for f in all_frames(*shape)]
+    frames += [rho(dual_graph(L)) for L in builder_lattices() if L.n >= 2]
+    for f in frames:
+        assert_same_carrier(gr(f), set_gr(f))
+
+
+def test_lattice_frames_match_the_set_builders():
+    for L in builder_lattices():
+        assert_same_carrier(canext_polarity(L)[1].base_frame,
+                            set_polarity_frame(L))
+        assert_same_carrier(frame_of_perfect(L), set_frame_of_perfect(L))
+
+
+def test_poset_graphs_match_the_set_builder():
+    rng = random.Random(14)
+    orders = [(n, rel) for n in range(1, 6)
+              for rel in _enumerate_strict_orders(n)]
+    orders += [(n, _random_strict_order(n, rng))
+               for n in range(1, 12) for _ in range(5)]
+    for n, rel in orders:
+        assert_same_carrier(_poset_graph(n, rel), set_poset_graph(n, rel))
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec("rs-frame", 2, exhaustive=True),
+    GenSpec("rs-frame", 3, exhaustive=True),
+    *(GenSpec("rs-frame", n, seed, count=4)
+      for n in (1, 2, 3, 4) for seed in (0, 1))], ids=repr)
+def test_rs_frames_match_the_set_generator(spec):
+    got, want = gen_rs_frame(spec), set_gen_rs_frame(spec)
+    assert len(got) == len(want)
+    for f, w in zip(got, want):
+        assert_same_carrier(f, w)
 
 
 @pytest.mark.parametrize("family", sorted(GRAPHS))

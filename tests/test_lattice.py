@@ -4,7 +4,7 @@ from tirs import fixtures
 from tirs.errors import NoBounds, NotALattice, NotAPartialOrder
 from tirs.lattice import (LatticeEmbedding, build_lattice, check_compact,
                           check_dense, filters_ideals, irreducibles,
-                          is_distributive, lattice_iso)
+                          is_distributive, lattice_from_leq, lattice_iso)
 
 from oracles import (brute_filters, brute_ideals, brute_irreducibles,
                      transitive_reflexive_pairs)
@@ -52,6 +52,14 @@ class TestBuild:
     def test_unknown_cover_name_rejected(self):
         with pytest.raises(ValueError):
             build_lattice(["a"], [("a", "zz")])
+
+    def test_lattice_from_leq_rejects_duplicate_names(self):
+        with pytest.raises(ValueError, match="^duplicate element names$"):
+            lattice_from_leq(["a", "a"], [("a", "a")])
+
+    def test_lattice_from_leq_rejects_unknown_names(self):
+        with pytest.raises(ValueError, match="unknown element 'zz'"):
+            lattice_from_leq(["a"], [("a", "a"), ("a", "zz")])
 
 
 class TestIrreducibles:
