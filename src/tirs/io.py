@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import InvalidInput, UnsupportedKind
 from .lattice import FiniteLattice, build_lattice
-from .structures import Frame, Graph, _sorted_pairs
+from .structures import Frame, Graph
 
 
 def detect_kind(payload: dict) -> str:
@@ -96,7 +96,7 @@ def export_dot(obj, include_loops: bool = False) -> str:
         lines = ["digraph G {"]
         for v in obj.vertices:
             lines.append(f"  {_quote(v)};")
-        for a, b in _sorted_pairs(obj.succ, obj.vertices, obj.vertices):
+        for a, b in obj.to_json()["edges"]:
             if a == b and not include_loops:
                 continue
             lines.append(f"  {_quote(a)} -> {_quote(b)};")
@@ -108,7 +108,7 @@ def export_dot(obj, include_loops: bool = False) -> str:
             lines.append(f"  {_quote('1:' + x)} [shape=box];")
         for y in obj.x2:
             lines.append(f"  {_quote('2:' + y)} [shape=ellipse];")
-        for a, b in _sorted_pairs(obj.rows, obj.x1, obj.x2):
+        for a, b in obj.to_json()["r"]:
             lines.append(f"  {_quote('1:' + a)} -> {_quote('2:' + b)};")
         lines.append("}")
         return "\n".join(lines)

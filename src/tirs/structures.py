@@ -41,14 +41,6 @@ def _relation(index1, index2, pairs, unknown: str) -> list[int]:
     return rows
 
 
-def _new(cls, *args, **kwargs):
-    """The body of Graph._from_masks and Frame._from_masks: an instance
-    built by its _init from names, masks and meta, skipping __init__."""
-    obj = object.__new__(cls)
-    obj._init(*args, **kwargs)
-    return obj
-
-
 def _transpose(rows, width: int) -> tuple[int, ...]:
     """The column masks of row masks over range(width): bit i of column j
     is bit j of rows[i].  A small table is walked bit by bit; a larger one
@@ -72,11 +64,6 @@ def _name_order(rows, names1, names2) -> list[tuple[int, int]]:
             if rows[i] >> j & 1]
 
 
-def _sorted_pairs(rows, names1, names2) -> list[list[str]]:
-    return [[names1[i], names2[j]] for i, j in _name_order(rows, names1,
-                                                           names2)]
-
-
 @dataclass(frozen=True, init=False)
 class Graph:
     """Vertices and the relation E, held as index masks: succ[i] has bit j
@@ -95,7 +82,11 @@ class Graph:
     def __init__(self, vertices, edges, meta=None):
         self._init(vertices, None, meta, edges)
 
-    _from_masks = classmethod(_new)
+    @classmethod
+    def _from_masks(cls, vertices, succ, meta=None):
+        g = object.__new__(cls)
+        g._init(vertices, succ, meta)
+        return g
 
     def _init(self, vertices, succ, meta=None, edges=None):
         index = _index(vertices, "duplicate vertex names")
@@ -129,8 +120,9 @@ class Graph:
         return i is not None and j is not None and self.succ[i] >> j & 1 == 1
 
     def to_json(self) -> dict:
-        d = {"vertices": list(self.vertices),
-             "edges": _sorted_pairs(self.succ, self.vertices, self.vertices)}
+        vs = self.vertices
+        d = {"vertices": list(vs), "edges": [
+            [vs[i], vs[j]] for i, j in _name_order(self.succ, vs, vs)]}
         if self.meta:
             d["meta"] = {k: v for k, v in sorted(self.meta.items())}
         return d
@@ -153,7 +145,11 @@ class Frame:
     def __init__(self, x1, x2, r, meta=None):
         self._init(x1, x2, None, meta, r)
 
-    _from_masks = classmethod(_new)
+    @classmethod
+    def _from_masks(cls, x1, x2, rows, meta=None):
+        f = object.__new__(cls)
+        f._init(x1, x2, rows, meta)
+        return f
 
     def _init(self, x1, x2, rows, meta=None, r=None):
         duplicate = "duplicate point names within x1 or x2"
@@ -186,8 +182,9 @@ class Frame:
         return i is not None and j is not None and self.rows[i] >> j & 1 == 1
 
     def to_json(self) -> dict:
-        d = {"x1": list(self.x1), "x2": list(self.x2),
-             "r": _sorted_pairs(self.rows, self.x1, self.x2)}
+        x1, x2 = self.x1, self.x2
+        d = {"x1": list(x1), "x2": list(x2), "r": [
+            [x1[i], x2[j]] for i, j in _name_order(self.rows, x1, x2)]}
         if self.meta:
             d["meta"] = {k: v for k, v in sorted(self.meta.items())}
         return d

@@ -10,7 +10,7 @@ of an earlier stage is reused: dual_graph and the lattice stages get a
 fresh lattice, check_graph, rho and alpha a fresh dual graph, gr, beta
 and closed_sets a fresh rho frame.  The pipeline row times one pass of
 every stage in order on one fresh lattice, so later stages do reuse what
-earlier ones cached.  Each figure is the median over --repeat runs, in
+earlier ones cached.  Each figure is the median over REPEAT runs, in
 milliseconds of time.process_time; each run is a fresh interpreter, and
 the two trees take turns.  Stdlib only.
 """
@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LATTICES = ("C32", "M16", "M32")
 STAGES = ("dual_graph", "check_graph", "rho", "gr", "alpha", "beta",
           "closed_sets", "canext_tandem", "canext_polarity", "check_pti")
+REPEAT = 3  # fresh interpreters per tree
 
 
 def lattice_spec(name):
@@ -121,7 +122,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
     dirty = bool(git("status", "--porcelain", "--", "src"))
@@ -134,7 +134,7 @@ def main():
         runs = {side: [] for side in trees}
         # the sides take turns, and who goes first alternates, so a drift
         # in machine speed reaches both
-        for k in range(args.repeat):
+        for k in range(REPEAT):
             for side in sorted(trees, reverse=k % 2 == 1):
                 runs[side].append(run_tree(trees[side]))
     parent, change = medians(runs["parent"]), medians(runs["change"])
@@ -153,7 +153,7 @@ def main():
             "parent_src_tree": git("rev-parse", f"{args.parent}:src"),
             "change_src_tree": git("rev-parse", "HEAD:src")
             + (" + uncommitted changes" if dirty else "")},
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "unit": "ms of time.process_time, median over the repeats, each "
                 "a fresh interpreter, parent and change taking turns",
         "rows": rows,
