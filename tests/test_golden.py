@@ -1,5 +1,6 @@
 """Golden CLI outputs: stdout, stderr and exit code of the read-only
-commands on the fixture corpus, compared byte for byte.
+commands on the fixture corpus, and of three generator runs, compared byte
+for byte.
 
 The expected files under tests/golden/ were written by this module's
 ``capture()``.  To record them again after an intended output change, run
@@ -63,38 +64,55 @@ COMMANDS = {
 
 CASES = [(fx, cmd) for fx in FIXTURES for cmd in COMMANDS]
 
+# generator runs, by the stem of their golden files
+GEN = {
+    "gen.lattice-4": ["gen", "--kind", "lattice", "--size", "4",
+                      "--exhaustive"],
+    "gen.rs-frame-2": ["gen", "--kind", "rs-frame", "--size", "2",
+                       "--exhaustive"],
+    "gen.poset-4": ["gen", "--kind", "poset", "--size", "4", "--seed", "1"],
+}
 
-def _run_case(fx, cmd):
-    argv = [a.format(INPUTS / f"{fx}.json") for a in COMMANDS[cmd]]
+
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
-def _expected(fx, cmd):
-    stem = GOLDEN / f"{fx}.{cmd}"
-    return {"stdout": Path(f"{stem}.out").read_text(),
-            "stderr": Path(f"{stem}.err").read_text(),
+def _run_case(fx, cmd):
+    return _run([a.format(INPUTS / f"{fx}.json") for a in COMMANDS[cmd]])
+
+
+def _expected(stem):
+    return {"stdout": Path(GOLDEN / f"{stem}.out").read_text(),
+            "stderr": Path(GOLDEN / f"{stem}.err").read_text(),
             "exit": json.loads((GOLDEN / "exit_codes.json").read_text())
-            [f"{fx}.{cmd}"]}
+            [stem]}
 
 
 @pytest.mark.parametrize("fx,cmd", CASES, ids=[f"{f}-{c}" for f, c in CASES])
 def test_cli_output_is_unchanged(fx, cmd):
-    assert _run_case(fx, cmd) == _expected(fx, cmd)
+    assert _run_case(fx, cmd) == _expected(f"{fx}.{cmd}")
+
+
+@pytest.mark.parametrize("stem", GEN)
+def test_gen_output_is_unchanged(stem):
+    assert _run(GEN[stem]) == _expected(stem)
 
 
 def capture():
     INPUTS.mkdir(parents=True, exist_ok=True)
     for fx, make in FIXTURES.items():
         save_structure(make(), INPUTS / f"{fx}.json")
+    runs = {f"{fx}.{cmd}": _run_case(fx, cmd) for fx, cmd in CASES}
+    runs.update((stem, _run(argv)) for stem, argv in GEN.items())
     codes = {}
-    for fx, cmd in CASES:
-        got = _run_case(fx, cmd)
-        Path(GOLDEN / f"{fx}.{cmd}.out").write_text(got["stdout"])
-        Path(GOLDEN / f"{fx}.{cmd}.err").write_text(got["stderr"])
-        codes[f"{fx}.{cmd}"] = got["exit"]
+    for stem, got in runs.items():
+        Path(GOLDEN / f"{stem}.out").write_text(got["stdout"])
+        Path(GOLDEN / f"{stem}.err").write_text(got["stderr"])
+        codes[stem] = got["exit"]
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=2, sort_keys=True) + "\n")
 
