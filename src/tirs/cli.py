@@ -16,8 +16,8 @@ from .generators import GenSpec, generate
 from .functors import (FrameMorphism, GraphMorphism, alpha, beta,
                        check_naturality, gr, rho, validate_frame_morphism,
                        validate_graph_morphism)
-from .io import (detect_kind, dump_structure, export_dot, hasse_dot,
-                 load_json, parse_structure)
+from .io import (_dumps, detect_kind, dump_structure, export_dot,
+                 hasse_dot, load_json, parse_structure)
 from .lattice import FiniteLattice, lattice_iso
 from .ploscica import dual_graph
 from .pti import check_pti, check_pti_frame_form
@@ -120,26 +120,17 @@ def cmd_canext(args):
 def cmd_roundtrip(args):
     obj = _load(args.file)
     if isinstance(obj, FiniteLattice):
-        _, gl = canext_tandem(obj)
-        iso = lattice_iso(obj, gl.as_lattice)
+        iso = lattice_iso(obj, canext_tandem(obj)[1].as_lattice)
         if iso is None:
             raise MathFailure({"roundtrip": False})
-        print(json.dumps({"roundtrip": True,
-                          "isomorphism": sorted(map(list, iso.items()))},
-                         indent=2))
+        out = {"isomorphism": sorted(map(list, iso.items()))}
     elif isinstance(obj, Graph):
-        m = alpha(obj)
-        print(json.dumps({"roundtrip": True,
-                          "isomorphism": sorted(map(list, m.map.items()))},
-                         indent=2))
+        out = {"isomorphism": sorted(map(list, alpha(obj).map.items()))}
     elif isinstance(obj, Frame):
-        m = beta(obj)
-        print(json.dumps({"roundtrip": True,
-                          "map1": sorted(map(list, m.map1.items())),
-                          "map2": sorted(map(list, m.map2.items()))},
-                         indent=2))
+        out = beta(obj).to_json()
     else:
         raise UsageError("roundtrip expects a lattice, graph or frame file")
+    print(json.dumps({"roundtrip": True, **out}, indent=2))
 
 
 def cmd_check_pti(args):
@@ -209,7 +200,7 @@ def cmd_gen(args):
     spec = GenSpec(args.kind, args.size, args.seed or 0, args.count,
                    args.exhaustive)
     objs = generate(spec)
-    print(json.dumps([o.to_json() for o in objs], indent=2, sort_keys=True))
+    print(_dumps([o.to_json() for o in objs]))
 
 
 def cmd_export_dot(args):

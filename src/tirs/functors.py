@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (HNotPreserved, InvalidInput, IsoVerificationFailed,
@@ -201,10 +202,16 @@ def _beta(f: Frame) -> tuple[FrameMorphism, Graph]:
 
 def _permutes(perm, rows1, rows2) -> bool:
     """perm is a bijection of the indices of rows1 onto those of rows2 that
-    carries each row of rows1 onto the row of its image."""
-    return len(rows1) == len(rows2) == len(set(perm)) and all(
-        sum(1 << perm[b] for b in bits(row)) == rows2[perm[a]]
-        for a, row in enumerate(rows1))
+    carries each row of rows1 onto the row of its image.  One itemgetter
+    reorders every row's bit string.  It is not built for no rows, and for
+    one row it returns a bare digit, which join passes through."""
+    n, fmt = len(rows1), f"0{len(rows1)}b"
+    if not n == len(rows2) == len(set(perm)):
+        return False
+    move = n and itemgetter(*[n - 1 - b for b in sorted(
+        range(n), key=perm.__getitem__, reverse=True)])
+    return all("".join(move(format(row, fmt))) == format(rows2[perm[a]], fmt)
+               for a, row in enumerate(rows1))
 
 
 def _is_graph_iso(m: GraphMorphism) -> bool:

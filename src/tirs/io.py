@@ -9,6 +9,8 @@ is by key shape: lattices carry "elements"/"covers", graphs
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _q
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import InvalidInput, UnsupportedKind
@@ -66,22 +68,46 @@ def parse_structure(payload: dict):
     return payload  # morphisms stay raw; they need source/target context
 
 
-def load_structure(path):
-    with open(path) as fh:
-        return parse_structure(json.load(fh))
-
-
 def load_json(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def load_structure(path):
+    return parse_structure(load_json(path))
+
+
+def _dumps(v, pad: str = "") -> str:
+    """json.dumps(v, indent=2, sort_keys=True), lines after the first
+    indented by pad.  Lists, str-keyed dicts and names are joined here, a
+    pair list quoting each distinct name once; the rest is json.dumps
+    re-indented, exact as encoded strings hold no raw newline."""
+    if type(v) is str:
+        return _q(v)
+    inner, sep = pad + "  ", ",\n" + pad + "  "
+    if type(v) is dict and v and all(type(k) is str for k in v):
+        body = sep.join([f"{_q(k)}: {_dumps(v[k], inner)}" for k in sorted(v)])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if type(v) is list and v:
+        if all(type(p) is list and len(p) == 2 and type(p[0]) is str
+               is type(p[1]) for p in v):
+            left = {a: f"[\n{inner}  {_q(a)},\n{inner}  "
+                    for a in set(map(itemgetter(0), v))}
+            right = {b: f"{_q(b)}\n{inner}]"
+                     for b in set(map(itemgetter(1), v))}
+            items = [left[a] + right[b] for a, b in v]
+        else:
+            items = [_dumps(x, inner) for x in v]
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def dump_structure(obj) -> str:
-    return json.dumps(obj.to_json(), indent=2, sort_keys=True)
+    return _dumps(obj.to_json())
 
 
 def save_structure(obj, path):
-    Path(path).write_text(dump_structure(obj) + "\n")
+    Path(path).write_text(dump_structure(obj) + "\n", encoding="utf-8")
 
 
 def _quote(name: str) -> str:

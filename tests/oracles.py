@@ -7,11 +7,12 @@ deliberately independent of the code paths it is used to check.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 from tirs.errors import NoBounds, NotALattice, NotAPartialOrder, NotPerfect
 from tirs.galois import GaloisLattice
-from tirs.lattice import CheckReport, FiniteLattice, Witness
+from tirs.lattice import CheckReport, FiniteLattice, Witness, bits
 from tirs.pti import PTiWitness
 from tirs.structures import ConditionReport, Frame, Graph
 
@@ -765,3 +766,24 @@ def set_gen_rs_frame(spec) -> list[Frame]:
         if rs(f):
             out.append(f)
     return out
+
+
+# -- bodies replaced by faster ones ------------------------------------------
+
+
+def loop_permutes(perm, rows1, rows2) -> bool:
+    """functors._permutes as one shift per edge: perm is a bijection of the
+    indices of rows1 onto those of rows2 that carries each row of rows1
+    onto the row of its image."""
+    return len(rows1) == len(rows2) == len(set(perm)) and all(
+        sum(1 << perm[b] for b in bits(row)) == rows2[perm[a]]
+        for a, row in enumerate(rows1))
+
+
+def json_dumps(v) -> str:
+    """The layout io.dump_structure and tirs gen write, by json.dumps."""
+    return json.dumps(v, indent=2, sort_keys=True)
+
+
+def json_dump_structure(obj) -> str:
+    return json_dumps(obj.to_json())

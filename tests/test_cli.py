@@ -281,6 +281,28 @@ class TestBadInput:
         assert "Traceback" not in proc.stderr
 
 
+class TestEncoding:
+    def test_reads_utf8_under_the_c_locale(self, tmp_path):
+        """A structure file is UTF-8 whatever the locale says: under the
+        C locale with UTF-8 mode off, a lattice with the element \u00e9 is
+        read and its dual graph written."""
+        p = tmp_path / "e.json"
+        p.write_bytes(json.dumps(
+            {"elements": ["0", "\u00e9", "1"],
+             "covers": [["0", "\u00e9"], ["\u00e9", "1"]]},
+            ensure_ascii=False).encode("utf-8"))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONIOENCODING", "LANG", "LC_CTYPE")}
+        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(tirs.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "tirs.cli", "dual",
+                               str(p)], capture_output=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        meta = json.loads(proc.stdout)["meta"]
+        assert "\u00e9" in {x for m in meta.values() for x in m["ones"]}
+
+
 class TestUsage:
     def test_no_command(self):
         assert run([]) == 2

@@ -1,15 +1,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tirs import fixtures
 from tirs.errors import UnsupportedKind
 from tirs.functors import rho
-from tirs.io import (detect_kind, dump_structure, export_dot, hasse_dot,
-                     load_structure, parse_structure, save_structure)
+from tirs.galois import closed_sets
+from tirs.generators import GenSpec, gen_lattice
+from tirs.io import (_dumps, detect_kind, dump_structure, export_dot,
+                     hasse_dot, load_structure, parse_structure,
+                     save_structure)
 from tirs.lattice import FiniteLattice
 from tirs.ploscica import dual_graph
 from tirs.structures import Frame, Graph
+
+from oracles import json_dump_structure, json_dumps
+from test_kernel import families
 
 
 class TestDetect:
@@ -57,6 +64,76 @@ class TestRoundtrip:
     def test_morphism_payload_stays_raw(self):
         payload = {"map": [["a", "b"]]}
         assert parse_structure(payload) is payload
+
+
+# names with quotes, backslashes, control, non-ASCII and astral characters
+# and lone surrogates, beside any character at all
+NAMES = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600/')),
+    max_size=5)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    NAMES)
+META = st.recursive(SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=3).map(tuple),
+    st.dictionaries(NAMES, kids, max_size=4),
+    st.dictionaries(st.one_of(NAMES, st.integers()), kids, max_size=3)),
+    max_leaves=10)
+STRUCTS = st.dictionaries(NAMES, st.one_of(
+    st.lists(NAMES, max_size=5),
+    st.lists(st.lists(NAMES, min_size=2, max_size=2), max_size=6),
+    META), max_size=5)
+
+
+def dumps_or_error(dumps, v):
+    try:
+        return dumps(v)
+    except TypeError:
+        return TypeError
+
+
+class TestWriter:
+    """io._dumps against json.dumps(indent=2, sort_keys=True), byte for
+    byte; where json.dumps raises TypeError (str and int keys in one dict)
+    the writer raises it too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(STRUCTS, st.lists(STRUCTS, max_size=3), META))
+    def test_writer_matches_json_dumps(self, v):
+        want = dumps_or_error(json_dumps, v)
+        assert dumps_or_error(_dumps, v) == want
+        if want is not TypeError:
+            assert _dumps(v, "    ") == want.replace("\n", "\n    ")
+
+    def test_every_family_structure_dumps_alike(self):
+        for L in families():
+            g = dual_graph(L)
+            f = rho(g)
+            for obj in (L, g, f, closed_sets(f)):
+                assert dump_structure(obj) == json_dump_structure(obj)
+
+    def test_exhaustive_lattices_dump_alike(self):
+        for n in range(1, 7):
+            for L in gen_lattice(GenSpec("lattice", n, exhaustive=True)):
+                assert dump_structure(L) == json_dump_structure(L)
+
+    def test_structures_take_no_fallback(self, monkeypatch):
+        """Graphs, frames, lattices and lists of them are joined by the
+        writer: json.dumps only writes the empty closed set."""
+        calls, real = [], json.dumps
+
+        def spy(v, **kw):
+            calls.append(v)
+            return real(v, **kw)
+
+        monkeypatch.setattr("tirs.io.json.dumps", spy)
+        g = dual_graph(fixtures.n5())
+        f = rho(g)
+        objs = [fixtures.n5(), g, f, closed_sets(f)]
+        for obj in objs:
+            dump_structure(obj)
+        _dumps([obj.to_json() for obj in objs])
+        assert calls == [[], []]
 
 
 class TestDot:

@@ -11,7 +11,7 @@ import pytest
 from tirs import fixtures
 from tirs.errors import InvalidInput, TirsError
 from tirs.functors import (FrameMorphism, GraphMorphism, _is_frame_iso,
-                           _is_graph_iso, frame_iso, gr, graph_iso, h_set,
+                           _is_graph_iso, _permutes, frame_iso, gr, graph_iso, h_set,
                            rho, validate_frame_morphism,
                            validate_graph_morphism)
 from tirs.galois import (_generation_failures, canext_polarity, closed_sets,
@@ -40,6 +40,7 @@ from oracles import (all_frames, all_graphs, set_check_frame,
                      set_transitive_closure, set_upper_covers,
                      set_validate_frame_morphism,
                      set_validate_graph_morphism, subsets)
+from oracles import loop_permutes
 
 
 def m_n(n):
@@ -299,6 +300,47 @@ def test_iso_verifiers_match_the_bijection_oracle():
             verdicts.add(("frame", _is_frame_iso(m)))
     assert verdicts == {(kind, v) for kind in ("graph", "frame")
                         for v in (True, False)}
+
+
+def carried(perm, rows):
+    """The rows carried by the bijection perm: bit perm[b] of row perm[a]
+    for each bit b of rows[a]."""
+    out = [0] * len(rows)
+    for a, row in enumerate(rows):
+        out[perm[a]] = sum(1 << perm[b] for b in range(len(rows))
+                           if row >> b & 1)
+    return out
+
+
+def test_permutes_matches_the_loop_per_edge():
+    """Every map, bijective or not, and every pair of row lists of 0-2
+    rows, with row lists one longer or shorter; then random maps on up to
+    40 rows, against the rows they carry, those with one bit flipped, and
+    unrelated rows."""
+    verdicts = set()
+    for n in range(3):
+        rows = list(itertools.product(range(1 << n), repeat=n))
+        for perm, rows1 in itertools.product(
+                itertools.product(range(n), repeat=n), rows):
+            for rows2 in [*rows, rows1 + (0,), rows1[1:]]:
+                got = _permutes(list(perm), rows1, rows2)
+                assert got == loop_permutes(list(perm), rows1, rows2)
+                verdicts.add(got)
+    rng = random.Random(12)
+    for _ in range(2000):
+        n = rng.randint(1, 40)
+        rows1 = [rng.getrandbits(n) for _ in range(n)]
+        perm = rng.sample(range(n), n) if rng.random() < 0.8 else \
+            [rng.randrange(n) for _ in range(n)]
+        rows2 = carried(perm, rows1) if len(set(perm)) == n else \
+            [rng.getrandbits(n) for _ in range(n)]
+        flipped = list(rows2)
+        flipped[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        for r2 in (rows2, flipped, rows2[:-1], rows2 + [0]):
+            got = _permutes(perm, rows1, r2)
+            assert got == loop_permutes(perm, rows1, r2)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_graph_morphisms_match_the_set_validator():

@@ -1,18 +1,19 @@
 """Per-stage CPU times of the duality pipeline on fixed lattices, for two
 source trees side by side.
 
-    python3 tools/stage_table.py --parent REV --out BENCH_7.json
+    python3 tools/stage_table.py --parent REV --out BENCH_8.json
 
 The change column times the working tree (./src), the parent column a
 `git archive` of REV; the output names both by the git tree id of their
 src.  A stage is timed on inputs built fresh for it, so no cached table
 of an earlier stage is reused: dual_graph and the lattice stages get a
-fresh lattice, check_graph, rho and alpha a fresh dual graph, gr, beta
-and closed_sets a fresh rho frame.  The pipeline row times one pass of
-every stage in order on one fresh lattice, so later stages do reuse what
-earlier ones cached.  Each figure is the median over REPEAT runs, in
-milliseconds of time.process_time; each run is a fresh interpreter, and
-the two trees take turns.  Stdlib only.
+fresh lattice, check_graph, rho, alpha and dump_structure a fresh dual
+graph, gr, beta and closed_sets a fresh rho frame, and parse_structure
+the parsed JSON text of a fresh dual graph.  The pipeline row times one
+pass of every stage but the two serialisation ones in order on one fresh
+lattice, so later stages do reuse what earlier ones cached.  Each figure
+is the median over REPEAT runs, in milliseconds of time.process_time;
+each run is a fresh interpreter, and the two trees take turns.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LATTICES = ("C32", "M16", "M32")
 STAGES = ("dual_graph", "check_graph", "rho", "gr", "alpha", "beta",
-          "closed_sets", "canext_tandem", "canext_polarity", "check_pti")
+          "closed_sets", "canext_tandem", "canext_polarity", "check_pti",
+          "dump_structure", "parse_structure")
 REPEAT = 3  # fresh interpreters per tree
 
 
@@ -51,6 +53,7 @@ def measure():
     from tirs import (alpha, beta, build_lattice, canext_polarity,
                       canext_tandem, check_graph, check_pti, closed_sets,
                       dual_graph, gr, rho)
+    from tirs.io import dump_structure, parse_structure
 
     def lattice(name):
         return build_lattice(*lattice_spec(name))
@@ -67,6 +70,9 @@ def measure():
         "canext_tandem": (lattice, canext_tandem),
         "canext_polarity": (lattice, canext_polarity),
         "check_pti": (lattice, check_pti),
+        "dump_structure": (lambda L: dual_graph(lattice(L)), dump_structure),
+        "parse_structure": (lambda L: json.loads(dump_structure(
+            dual_graph(lattice(L)))), parse_structure),
     }
 
     def pipeline(name):
