@@ -11,8 +11,8 @@ import pytest
 from tirs import fixtures
 from tirs.errors import InvalidInput, TirsError
 from tirs.functors import (FrameMorphism, GraphMorphism, _is_frame_iso,
-                           _is_graph_iso, _permutes, frame_iso, gr, graph_iso, h_set,
-                           rho, validate_frame_morphism,
+                           _is_graph_iso, _permutes, frame_iso, gr,
+                           graph_iso, h_set, rho, validate_frame_morphism,
                            validate_graph_morphism)
 from tirs.galois import (_generation_failures, canext_polarity, closed_sets,
                          closure, frame_of_perfect, galois_down, galois_up)
@@ -26,7 +26,7 @@ from tirs.pti import _pti_pairs, check_pti_frame_form
 from tirs.structures import Frame, Graph, check_frame, check_graph, \
     is_poset_graph
 
-from oracles import (all_frames, all_graphs, set_check_frame,
+from oracles import (all_frames, all_graphs, loop_permutes, set_check_frame,
                      set_check_graph, set_closed_sets, set_closure,
                      set_covers, set_dual_graph, set_finish_lattice,
                      set_frame_iso, set_frame_of_perfect, set_galois_down,
@@ -40,7 +40,6 @@ from oracles import (all_frames, all_graphs, set_check_frame,
                      set_transitive_closure, set_upper_covers,
                      set_validate_frame_morphism,
                      set_validate_graph_morphism, subsets)
-from oracles import loop_permutes
 
 
 def m_n(n):
