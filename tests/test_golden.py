@@ -1,12 +1,13 @@
 """Golden CLI outputs: stdout, stderr and exit code of the read-only
-commands on the fixture corpus, and of three generator runs, compared byte
-for byte.
+commands on the fixture corpus, of the morphism checks on identity maps, and
+of three generator runs, compared byte for byte.
 
 The expected files under tests/golden/ were written by this module's
 ``capture()``.  To record them again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,9 +16,13 @@ from pathlib import Path
 import pytest
 
 from tirs import fixtures
-from tirs.cli import run
-from tirs.io import save_structure
-from tirs.lattice import build_lattice
+from tirs.cli import build_parser, run
+from tirs.functors import (identity_frame_morphism, identity_graph_morphism,
+                           rho)
+from tirs.io import _dumps, save_structure
+from tirs.lattice import FiniteLattice, build_lattice
+from tirs.ploscica import dual_graph
+from tirs.structures import Graph
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -60,6 +65,7 @@ COMMANDS = {
     "roundtrip": ["roundtrip", "{}"],
     "check-pti": ["check-pti", "{}", "--all-witnesses"],
     "check-pti-frame": ["check-pti", "--frame", "{}", "--all-witnesses"],
+    "export-dot": ["export-dot", "{}"],
 }
 
 CASES = [(fx, cmd) for fx in FIXTURES for cmd in COMMANDS]
@@ -71,6 +77,40 @@ GEN = {
     "gen.rs-frame-2": ["gen", "--kind", "rs-frame", "--size", "2",
                        "--exhaustive"],
     "gen.poset-4": ["gen", "--kind", "poset", "--size", "4", "--seed", "1"],
+}
+
+# inputs of the morphism checks beyond the fixtures: N5's dual graph and its
+# rho frame
+MORPHISM_INPUTS = {
+    "dualN5": lambda: dual_graph(fixtures.n5()),
+    "rhoN5": lambda: rho(dual_graph(fixtures.n5())),
+}
+# each is checked against its identity morphism, written to <name>.id.json
+IDENTITIES = ["NT4", "F2x1", "ladder3", "dualN5", "rhoN5"]
+# dualN5.bad.json sends p1 to p0, so edge (p1, p2) has no image edge: clause
+# (i) fails
+BAD_MAP = {"map": [["p0", "p0"], ["p1", "p0"], ["p2", "p2"]]}
+
+
+def _is(cls, fx):
+    return isinstance(FIXTURES[fx](), cls)
+
+
+# further runs by the stem of their golden files; "{i}" is the inputs
+# directory
+MORE = {
+    **{f"{fx}.export-dot-hasse": ["export-dot", f"{{i}}/{fx}.json", "--hasse"]
+       for fx in FIXTURES if _is(FiniteLattice, fx)},
+    **{f"{fx}.export-dot-loops": ["export-dot", f"{{i}}/{fx}.json",
+                                  "--include-loops"]
+       for fx in [*(f for f in FIXTURES if _is(Graph, f)), "dualN5"]},
+    **{f"{fx}.{cmd}": [cmd, f"{{i}}/{fx}.json", f"{{i}}/{fx}.json",
+                       f"{{i}}/{fx}.id.json"]
+       for fx in IDENTITIES for cmd in ("check-morphism", "check-naturality")},
+    **{f"dualN5.{cmd}-bad": [cmd, "{i}/dualN5.json", "{i}/dualN5.json",
+                             "{i}/dualN5.bad.json"]
+       for cmd in ("check-morphism", "check-naturality")},
+    "check-pti-no-input": ["check-pti"],
 }
 
 
@@ -102,12 +142,37 @@ def test_gen_output_is_unchanged(stem):
     assert _run(GEN[stem]) == _expected(stem)
 
 
+def _run_more(stem):
+    return _run([a.format(i=INPUTS) for a in MORE[stem]])
+
+
+@pytest.mark.parametrize("stem", MORE)
+def test_more_output_is_unchanged(stem):
+    assert _run_more(stem) == _expected(stem)
+
+
+def test_every_subcommand_has_a_golden_case():
+    """suite is left out: tests/test_cli.py runs it."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    covered = {argv[0] for argv in [*COMMANDS.values(), *GEN.values(),
+                                    *MORE.values()]}
+    assert set(sub.choices) - {"suite"} <= covered
+
+
 def capture():
     INPUTS.mkdir(parents=True, exist_ok=True)
-    for fx, make in FIXTURES.items():
+    for fx, make in {**FIXTURES, **MORPHISM_INPUTS}.items():
         save_structure(make(), INPUTS / f"{fx}.json")
+    for fx in IDENTITIES:
+        obj = {**FIXTURES, **MORPHISM_INPUTS}[fx]()
+        m = (identity_graph_morphism(obj) if isinstance(obj, Graph)
+             else identity_frame_morphism(obj))
+        (INPUTS / f"{fx}.id.json").write_text(_dumps(m.to_json()) + "\n")
+    (INPUTS / "dualN5.bad.json").write_text(_dumps(BAD_MAP) + "\n")
     runs = {f"{fx}.{cmd}": _run_case(fx, cmd) for fx, cmd in CASES}
     runs.update((stem, _run(argv)) for stem, argv in GEN.items())
+    runs.update((stem, _run_more(stem)) for stem in MORE)
     codes = {}
     for stem, got in runs.items():
         Path(GOLDEN / f"{stem}.out").write_text(got["stdout"])
