@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import TirsError, UnsupportedKind
+from .errors import InvalidInput, TirsError, UnsupportedKind
 from .galois import canext_polarity, canext_tandem, cross_check_extensions
 from .generators import GenSpec, generate
 from .functors import (FrameMorphism, GraphMorphism, alpha, beta,
@@ -25,15 +25,19 @@ from .structures import Frame, Graph, check_frame, check_graph
 from .suite import run_suite
 
 
-def _load(path):
+def _load(path, kinds=object, usage=None):
+    """The structure in path; UsageError(usage) unless it is one of kinds."""
     try:
-        return parse_structure(load_json(path))
+        obj = parse_structure(load_json(path))
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
     except (json.JSONDecodeError, UnsupportedKind, ValueError) as exc:
         raise UsageError(f"cannot parse {path}: {exc}")
+    if not isinstance(obj, kinds):
+        raise UsageError(usage)
+    return obj
 
 
 class UsageError(Exception):
@@ -48,77 +52,60 @@ class MathFailure(Exception):
         super().__init__(json.dumps(payload))
 
 
+def _verdict(out, ok):
+    """Print the report out; MathFailure(out) unless ok."""
+    print(json.dumps(out, indent=2))
+    if not ok:
+        raise MathFailure(out)
+
+
 def cmd_check(args):
-    obj = _load(args.file)
+    obj = _load(args.file, (FiniteLattice, Graph, Frame),
+                "check expects a lattice, graph or frame file")
     if isinstance(obj, FiniteLattice):
         # construction already validates the lattice axioms
         print(json.dumps({"kind": "lattice", "elements": len(obj.elements),
                           "verdict": True}))
         return
-    if isinstance(obj, Graph):
-        rep = check_graph(obj, args.all_witnesses)
-        out = rep.to_json()
-        out["tirs"] = rep.is_tirs
-        print(json.dumps(out, indent=2))
-        if not rep.is_tirs:
-            raise MathFailure(out)
-        return
+    rep = (check_graph if isinstance(obj, Graph) else check_frame)(
+        obj, args.all_witnesses)
+    out = rep.to_json()
     if isinstance(obj, Frame):
-        rep = check_frame(obj, args.all_witnesses)
-        out = rep.to_json()
         out["rs"] = rep.is_rs
-        out["tirs"] = rep.is_tirs
-        print(json.dumps(out, indent=2))
-        if not rep.is_tirs:
-            raise MathFailure(out)
-        return
-    raise UsageError("check expects a lattice, graph or frame file")
+    out["tirs"] = rep.is_tirs
+    _verdict(out, rep.is_tirs)
 
 
-def cmd_dual(args):
-    obj = _load(args.file)
-    if not isinstance(obj, FiniteLattice):
-        raise UsageError("dual expects a lattice file")
-    print(dump_structure(dual_graph(obj)))
+# dual, rho and gr: input type, its name, the map, and the help line
+_MAPS = {"dual": (FiniteLattice, "lattice", dual_graph,
+                  "dual graph of a lattice"),
+         "rho": (Graph, "graph", rho, "associated frame of a graph"),
+         "gr": (Frame, "frame", gr, "associated graph of a frame")}
 
 
-def cmd_rho(args):
-    obj = _load(args.file)
-    if not isinstance(obj, Graph):
-        raise UsageError("rho expects a graph file")
-    print(dump_structure(rho(obj)))
-
-
-def cmd_gr(args):
-    obj = _load(args.file)
-    if not isinstance(obj, Frame):
-        raise UsageError("gr expects a frame file")
-    print(dump_structure(gr(obj)))
+def cmd_map(args):
+    kind, name, fn, _ = _MAPS[args.command]
+    obj = _load(args.file, kind, f"{args.command} expects a {name} file")
+    print(dump_structure(fn(obj)))
 
 
 def cmd_canext(args):
-    obj = _load(args.file)
-    if not isinstance(obj, FiniteLattice):
-        raise UsageError("canext expects a lattice file")
-    if args.method in ("tandem", "both"):
-        emb_t, gl_t = canext_tandem(obj)
-    if args.method in ("polarity", "both"):
-        emb_p, gl_p = canext_polarity(obj)
-    if args.method == "both":
-        agree, iso = cross_check_extensions(emb_t, emb_p)
+    obj = _load(args.file, FiniteLattice, "canext expects a lattice file")
+    tandem = canext_tandem(obj) if args.method != "polarity" else None
+    polarity = canext_polarity(obj) if args.method != "tandem" else None
+    if tandem and polarity:
+        agree, iso = cross_check_extensions(tandem[0], polarity[0])
         print(json.dumps({"cross_check": agree,
                           "isomorphism": sorted(map(list, iso.items()))},
                          indent=2))
         if not agree:
             raise MathFailure({"cross_check": False})
-        print(dump_structure(gl_t))
-    else:
-        gl = gl_t if args.method == "tandem" else gl_p
-        print(dump_structure(gl))
+    print(dump_structure((tandem or polarity)[1]))
 
 
 def cmd_roundtrip(args):
-    obj = _load(args.file)
+    obj = _load(args.file, (FiniteLattice, Graph, Frame),
+                "roundtrip expects a lattice, graph or frame file")
     if isinstance(obj, FiniteLattice):
         iso = lattice_iso(obj, canext_tandem(obj)[1].as_lattice)
         if iso is None:
@@ -126,72 +113,67 @@ def cmd_roundtrip(args):
         out = {"isomorphism": sorted(map(list, iso.items()))}
     elif isinstance(obj, Graph):
         out = {"isomorphism": sorted(map(list, alpha(obj).map.items()))}
-    elif isinstance(obj, Frame):
-        out = beta(obj).to_json()
     else:
-        raise UsageError("roundtrip expects a lattice, graph or frame file")
+        out = beta(obj).to_json()
     print(json.dumps({"roundtrip": True, **out}, indent=2))
 
 
 def cmd_check_pti(args):
     if args.frame:
-        obj = _load(args.frame)
-        if not isinstance(obj, Frame):
-            raise UsageError("--frame expects a frame file")
-        rep = check_pti_frame_form(obj, args.all_witnesses)
-        print(json.dumps(rep.to_json(), indent=2))
-        if not rep:
-            raise MathFailure(rep.to_json())
-        return
-    obj = _load(args.file) if args.file is not None else None
-    if not isinstance(obj, FiniteLattice):
-        raise UsageError("check-pti expects a lattice file (or --frame)")
-    rep, witnesses = check_pti(obj, args.all_witnesses)
+        rep = check_pti_frame_form(
+            _load(args.frame, Frame, "--frame expects a frame file"),
+            args.all_witnesses)
+        return _verdict(rep.to_json(), rep)
+    usage = "check-pti expects a lattice file (or --frame)"
+    if args.file is None:
+        raise UsageError(usage)
+    rep, witnesses = check_pti(_load(args.file, FiniteLattice, usage),
+                               args.all_witnesses)
     out = rep.to_json()
     out["pairs"] = [{"x": w.x, "y": w.y, "w": w.w, "z": w.z,
                      "status": w.status} for w in witnesses]
-    print(json.dumps(out, indent=2))
-    if not rep:
-        raise MathFailure(out)
+    _verdict(out, rep)
+
+
+def _point_map(payload, key):
+    """The map listed under key; InvalidInput if a point is listed twice."""
+    out = {}
+    for a, b in payload[key]:
+        if a in out:
+            raise InvalidInput(f"{key} lists the point {a!r} twice")
+        out[a] = b
+    return out
 
 
 def _load_morphism(args):
-    src = _load(args.source)
-    tgt = _load(args.target)
-    payload = _load(args.morphism)  # morphisms come back as raw payloads
-    kind = detect_kind(payload) if isinstance(payload, dict) else None
-    if kind == "graph-morphism":
-        if not (isinstance(src, Graph) and isinstance(tgt, Graph)):
-            raise UsageError("graph morphism needs graph source and target")
-        return GraphMorphism(src, tgt, dict(map(tuple, payload["map"])))
-    if kind == "frame-morphism":
-        if not (isinstance(src, Frame) and isinstance(tgt, Frame)):
-            raise UsageError("frame morphism needs frame source and target")
-        return FrameMorphism(src, tgt, dict(map(tuple, payload["map1"])),
-                             dict(map(tuple, payload["map2"])))
-    raise UsageError("morphism file must carry map or map1/map2")
+    """The morphism of args and the validator for its kind."""
+    payload = _load(args.morphism, dict,  # morphisms come back raw
+                    "morphism file must carry map or map1/map2")
+    graph = detect_kind(payload) == "graph-morphism"
+    kind, name = (Graph, "graph") if graph else (Frame, "frame")
+    usage = f"{name} morphism needs {name} source and target"
+    src, tgt = _load(args.source, kind, usage), _load(args.target, kind, usage)
+    if graph:
+        return (GraphMorphism(src, tgt, _point_map(payload, "map")),
+                validate_graph_morphism)
+    return (FrameMorphism(src, tgt, _point_map(payload, "map1"),
+                          _point_map(payload, "map2")),
+            validate_frame_morphism)
 
 
 def cmd_check_morphism(args):
-    m = _load_morphism(args)
-    rep = (validate_graph_morphism(m, args.all_witnesses)
-           if isinstance(m, GraphMorphism)
-           else validate_frame_morphism(m, args.all_witnesses))
-    print(json.dumps(rep.to_json(), indent=2))
-    if not rep:
-        raise MathFailure(rep.to_json())
+    m, validate = _load_morphism(args)
+    rep = validate(m, args.all_witnesses)
+    _verdict(rep.to_json(), rep)
 
 
 def cmd_check_naturality(args):
-    m = _load_morphism(args)
-    rep = (validate_graph_morphism(m) if isinstance(m, GraphMorphism)
-           else validate_frame_morphism(m))
+    m, validate = _load_morphism(args)
+    rep = validate(m)
     if not rep:
         raise MathFailure(rep.to_json())
     nat = check_naturality(m)
-    print(json.dumps(nat.to_json(), indent=2))
-    if not nat:
-        raise MathFailure(nat.to_json())
+    _verdict(nat.to_json(), nat)
 
 
 def cmd_gen(args):
@@ -205,14 +187,13 @@ def cmd_gen(args):
 
 def cmd_export_dot(args):
     obj = _load(args.file)
-    if isinstance(obj, FiniteLattice):
-        if not args.hasse:
-            raise UsageError(
-                "lattices have no relational DOT form; pass --hasse for the "
-                "cover digraph")
+    if not isinstance(obj, FiniteLattice):
+        print(export_dot(obj, include_loops=args.include_loops))
+    elif args.hasse:
         print(hasse_dot(obj))
-        return
-    print(export_dot(obj, include_loops=args.include_loops))
+    else:
+        raise UsageError("lattices have no relational DOT form; pass --hasse "
+                         "for the cover digraph")
 
 
 def cmd_suite(args):
@@ -240,17 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     wit(sp)
     sp.set_defaults(fn=cmd_check)
 
-    sp = sub.add_parser("dual", help="dual graph of a lattice")
-    sp.add_argument("file")
-    sp.set_defaults(fn=cmd_dual)
-
-    sp = sub.add_parser("rho", help="associated frame of a graph")
-    sp.add_argument("file")
-    sp.set_defaults(fn=cmd_rho)
-
-    sp = sub.add_parser("gr", help="associated graph of a frame")
-    sp.add_argument("file")
-    sp.set_defaults(fn=cmd_gr)
+    for name, (*_, help_) in _MAPS.items():
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("file")
+        sp.set_defaults(fn=cmd_map)
 
     sp = sub.add_parser("canext", help="canonical extension of a lattice")
     sp.add_argument("file")

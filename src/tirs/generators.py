@@ -12,10 +12,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidInput, SizeUnreachable
+from .errors import InvalidInput, NoBounds, NotALattice, SizeUnreachable
 from .galois import closed_sets, inclusion_lattice
-from .lattice import (FiniteLattice, lattice_from_leq, lattice_iso,
-                      pairwise_closure, transitive_closure)
+from .lattice import (FiniteLattice, _finish_lattice, is_distributive,
+                      lattice_iso, pairwise_closure, transitive_closure)
 from .ploscica import dual_graph
 from .structures import Frame, Graph, check_frame
 from .functors import graph_iso
@@ -116,15 +116,6 @@ def _dm_completion(g: Graph) -> FiniteLattice:
     return closed_sets(frame).as_lattice
 
 
-def _is_lattice_order(rel_names, names) -> Optional[FiniteLattice]:
-    from .errors import NoBounds, NotALattice
-
-    try:
-        return lattice_from_leq(names, rel_names)
-    except (NotALattice, NoBounds):
-        return None
-
-
 def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
     """Finite lattices of exactly the requested size.
 
@@ -136,17 +127,17 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
     _expect_kind(spec, ("lattice", "distributive-lattice"))
     if spec.exhaustive:
         out: list[FiniteLattice] = []
-        names = [f"e{i}" for i in range(spec.size)]
+        names = tuple(f"e{i}" for i in range(spec.size))
+        loops = {(i, i) for i in range(spec.size)}
         for rel in _enumerate_strict_orders(spec.size):
-            pairs = [(names[i], names[i]) for i in range(spec.size)]
-            pairs += [(names[a], names[b]) for a, b in rel]
-            lat = _is_lattice_order(pairs, names)
-            if lat is None:
+            # every pair has i < j, so no cycle: only these two can fail
+            try:
+                lat = _finish_lattice(names, frozenset(rel | loops))
+            except (NotALattice, NoBounds):
                 continue
-            if spec.kind == "distributive-lattice":
-                from .lattice import is_distributive
-                if not is_distributive(lat):
-                    continue
+            if spec.kind == "distributive-lattice" and \
+                    not is_distributive(lat):
+                continue
             if not any(lattice_iso(lat, other) for other in out):
                 out.append(lat)
         return out

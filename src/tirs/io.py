@@ -111,7 +111,7 @@ def save_structure(obj, path):
 
 
 def _quote(name: str) -> str:
-    return '"' + name.replace('"', '\\"') + '"'
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(obj, include_loops: bool = False) -> str:

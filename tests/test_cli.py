@@ -259,6 +259,25 @@ class TestBadInput:
     def test_bad_gen_request(self, argv):
         assert run(["gen", "--kind", "poset", *argv]) == 2
 
+    @pytest.mark.parametrize("key,payload", [
+        ("map", {"map": [["p0", "p1"], ["p0", "p0"], ["p1", "p1"],
+                         ["p2", "p2"]]}),
+        ("map1", {"map1": [["a", "a"], ["b", "b"], ["c", "c"], ["a", "b"]],
+                  "map2": [["a", "a"], ["b", "b"], ["c", "c"]]}),
+        ("map2", {"map1": [["a", "a"], ["b", "b"], ["c", "c"]],
+                  "map2": [["a", "a"], ["a", "a"], ["b", "b"], ["c", "c"]]}),
+    ])
+    def test_morphism_listing_a_point_twice(self, files, tmp_path, capsys,
+                                            key, payload):
+        """Only one image of a repeated point would survive, so the file
+        is refused and the error names the point."""
+        src = files["dual_n5"] if key == "map" else files["diag"]
+        point = payload[key][0][0]
+        mor = write_json(tmp_path, "mor.json", payload)
+        assert run(["check-morphism", src, src, mor]) == 2
+        assert capsys.readouterr().err == (
+            f"error: InvalidInput: {key} lists the point {point!r} twice\n")
+
     def test_morphism_missing_a_vertex(self, files, tmp_path):
         mor = write_json(tmp_path, "mor.json", {"map": [["p0", "p0"]]})
         assert run(["check-morphism", files["dual_n5"], files["dual_n5"],

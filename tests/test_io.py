@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from tirs.generators import GenSpec, gen_lattice
 from tirs.io import (_dumps, detect_kind, dump_structure, export_dot,
                      hasse_dot, load_structure, parse_structure,
                      save_structure)
-from tirs.lattice import FiniteLattice
+from tirs.lattice import FiniteLattice, build_lattice
 from tirs.ploscica import dual_graph
 from tirs.structures import Frame, Graph
 
@@ -166,3 +167,30 @@ class TestDot:
         assert out.count("->") == 5
         assert "rankdir=BT" in out
         assert '"0" -> "a";' in out
+
+    def test_names_with_backslashes_and_quotes(self):
+        """Each line splits by the DOT quoted-string grammar into the names
+        it was written from: every node once and both ends of each edge."""
+        a, b, c = "a\\", 'b"\\', '\\"c'
+        g = Graph((a, b, c), {(a, a), (a, b), (b, c), (c, c)})
+        f = Frame((a, b), (c,), {(a, c), (b, c)})
+        L = build_lattice((a, b, c), [(a, b), (b, c)])
+        cases = [
+            (export_dot(g, include_loops=True), [a, b, c],
+             {(a, a), (a, b), (b, c), (c, c)}),
+            (export_dot(f), ["1:" + a, "1:" + b, "2:" + c],
+             {("1:" + a, "2:" + c), ("1:" + b, "2:" + c)}),
+            (hasse_dot(L), [a, b, c], {(a, b), (b, c)}),
+        ]
+        quoted = re.compile(r'"((?:\\.|[^"\\])*)"')
+        for out, nodes, edges in cases:
+            seen_nodes, seen_edges = [], set()
+            for line in out.splitlines():
+                names = [re.sub(r"\\(.)", r"\1", m)
+                         for m in quoted.findall(line)]
+                if "->" in quoted.sub("", line):
+                    seen_edges.add(tuple(names))
+                elif names:
+                    seen_nodes.extend(names)
+            assert seen_nodes == nodes
+            assert seen_edges == edges
