@@ -119,6 +119,8 @@ def cmd_roundtrip(args):
 
 
 def cmd_check_pti(args):
+    if args.frame and args.file:
+        raise UsageError("check-pti takes a lattice file or --frame, not both")
     if args.frame:
         rep = check_pti_frame_form(
             _load(args.frame, Frame, "--frame expects a frame file"),
@@ -186,7 +188,8 @@ def cmd_gen(args):
 
 
 def cmd_export_dot(args):
-    obj = _load(args.file)
+    obj = _load(args.file, (FiniteLattice, Graph, Frame),
+                "export-dot expects a graph or frame file")
     if not isinstance(obj, FiniteLattice):
         print(export_dot(obj, include_loops=args.include_loops))
     elif args.hasse:

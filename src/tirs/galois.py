@@ -51,15 +51,17 @@ def _set_name(s: frozenset[str]) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
 
-def inclusion_lattice(family):
-    """A family of sets in (size, members) order, and the lattice it forms
-    under inclusion with each set named by its members."""
-    sets = sorted(family, key=lambda s: (len(s), sorted(s)))
-    index = {x: i for i, x in enumerate(frozenset().union(*sets))}
-    masks = [sum(1 << index[x] for x in s) for s in sets]
+def inclusion_lattice(masks, points):
+    """The sets of a family of masks over points, in (size, sorted members)
+    order, and the lattice they form under inclusion with each set named
+    by its members."""
+    rank = sorted(range(len(points)), key=points.__getitem__)
+    members = {m: [points[i] for i in rank if m >> i & 1] for m in masks}
+    masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
     leq = frozenset((i, j) for i, si in enumerate(masks)
                     for j, sj in enumerate(masks) if subset(si, sj))
-    names, first = [_set_name(s) for s in sets], {}
+    names, first = [_set_name(members[m]) for m in masks], {}
+    sets = [frozenset(members[m]) for m in masks]
     for s, name in zip(sets, names):  # a "," in a point name can collide
         if first.setdefault(name, s) != s:
             raise InvalidInput(f"sets {sorted(first[name])} and {sorted(s)} "
@@ -96,7 +98,7 @@ def closed_sets(f: Frame) -> GaloisLattice:
             raise AssertionError(f"generated set {sorted(_names(s, f.x1))} "
                                  f"is not closed")
 
-    sets, lat = inclusion_lattice(_names(s, f.x1) for s in family)
+    sets, lat = inclusion_lattice(family, f.x1)
 
     j = frozenset(_set_name(_names(_close(f, 1 << x), f.x1))
                   for x in range(len(f.x1)))

@@ -4,6 +4,11 @@ and RS frames for the property sweeps.
 Random poset model: each strict pair (i, j) with i < j, visited in a
 shuffled order, is included with probability 1/2, then the relation is
 transitively closed.  Identical GenSpec values yield identical output.
+
+Generation works on int masks and builds a structure only once it is kept:
+a random lattice is sized on its family of sets before its tables are
+built, an RS frame is decided on its masks, and exhaustive mode compares a
+candidate only with kept structures of the same isomorphism invariant.
 """
 
 from __future__ import annotations
@@ -13,12 +18,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidInput, NoBounds, NotALattice, SizeUnreachable
-from .galois import closed_sets, inclusion_lattice
+from .galois import inclusion_lattice
 from .lattice import (FiniteLattice, _finish_lattice, is_distributive,
-                      lattice_iso, pairwise_closure, transitive_closure)
+                      mask_iso, pairwise_closure, transitive_closure)
 from .ploscica import dual_graph
-from .structures import Frame, Graph, check_frame
-from .functors import graph_iso
+from .structures import Frame, Graph, _is_rs, _transpose
 
 EXHAUSTIVE_POSET_MAX = 5
 EXHAUSTIVE_LATTICE_MAX = 6
@@ -59,11 +63,7 @@ def _expect_kind(spec: GenSpec, kinds):
 def _random_strict_order(n: int, rng: random.Random) -> set[tuple[int, int]]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
-    rel = set()
-    for (i, j) in pairs:
-        if rng.random() < 0.5:
-            rel.add((i, j))
-    return transitive_closure(n, rel)
+    return transitive_closure(n, {p for p in pairs if rng.random() < 0.5})
 
 
 def _poset_graph(n: int, strict: set[tuple[int, int]]) -> Graph:
@@ -84,36 +84,44 @@ def _enumerate_strict_orders(n: int):
             yield rel
 
 
+def _distinct(items, masks) -> list:
+    """The items not isomorphic to an earlier one, in order; masks(x) gives
+    x's row and column masks.  Only kept items with the same multiset of
+    (row size, column size) are compared: isomorphic ones share it."""
+    kept: dict[tuple, list] = {}
+    out = []
+    for x in items:
+        rows, cols = masks(x)
+        same = kept.setdefault(tuple(sorted(zip(
+            map(int.bit_count, rows), map(int.bit_count, cols)))), [])
+        if all(mask_iso(rows, cols, *other) is None for other in same):
+            same.append((rows, cols))
+            out.append(x)
+    return out
+
+
 def gen_poset(spec: GenSpec) -> list[Graph]:
     """Posets as reflexive transitive graphs.  Exhaustive mode enumerates
     all posets of the given size up to isomorphism."""
     _expect_kind(spec, ("poset",))
     if spec.exhaustive:
-        out: list[Graph] = []
-        for rel in _enumerate_strict_orders(spec.size):
-            g = _poset_graph(spec.size, rel)
-            if not any(graph_iso(g, h) for h in out):
-                out.append(g)
-        return out
+        return _distinct((_poset_graph(spec.size, rel)
+                          for rel in _enumerate_strict_orders(spec.size)),
+                         lambda g: (g.succ, g.pred))
     rng = random.Random(spec.seed)
     return [_poset_graph(spec.size, _random_strict_order(spec.size, rng))
             for _ in range(spec.count)]
 
 
-def _downset_lattice(g: Graph) -> FiniteLattice:
-    """Lattice of downsets of a poset graph, ordered by inclusion."""
-    # principal downsets (everything below v), closed under union and
-    # intersection
-    downs = pairwise_closure({frozenset()} | {g.col(v) for v in g.vertices},
-                             frozenset.__or__, frozenset.__and__)
-    return inclusion_lattice(downs)[1]
-
-
-def _dm_completion(g: Graph) -> FiniteLattice:
-    """Dedekind-MacNeille completion of a poset graph, computed as the
-    Galois-closed sets of the order polarity (P, P, <=)."""
-    frame = Frame._from_masks(g.vertices, g.vertices, g.succ)
-    return closed_sets(frame).as_lattice
+def _lattice_sets(g: Graph, distributive: bool) -> frozenset[int]:
+    """As masks, the sets whose inclusion lattice is the downset lattice of
+    the poset graph g (unions of principal downsets), or else its
+    Dedekind-MacNeille completion: the Galois-closed sets of the order
+    polarity (P, P, <=)."""
+    if distributive:
+        return pairwise_closure({0, *g.pred}, int.__or__)
+    return pairwise_closure({(1 << len(g.vertices)) - 1, *g.pred},
+                            int.__and__)
 
 
 def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
@@ -126,7 +134,7 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
     """
     _expect_kind(spec, ("lattice", "distributive-lattice"))
     if spec.exhaustive:
-        out: list[FiniteLattice] = []
+        lats: list[FiniteLattice] = []
         names = tuple(f"e{i}" for i in range(spec.size))
         loops = {(i, i) for i in range(spec.size)}
         for rel in _enumerate_strict_orders(spec.size):
@@ -135,28 +143,23 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
                 lat = _finish_lattice(names, frozenset(rel | loops))
             except (NotALattice, NoBounds):
                 continue
-            if spec.kind == "distributive-lattice" and \
-                    not is_distributive(lat):
-                continue
-            if not any(lattice_iso(lat, other) for other in out):
-                out.append(lat)
-        return out
+            if spec.kind == "lattice" or is_distributive(lat):
+                lats.append(lat)
+        return _distinct(lats, lambda L: (L.ups, L.downs))
 
     rng = random.Random(spec.seed)
     out = []
     attempts = 0
-    max_attempts = 400 * spec.count
     while len(out) < spec.count:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > 400 * spec.count:
             raise SizeUnreachable(
                 f"no {spec.kind} of size {spec.size} after {attempts} tries")
         base = max(1, spec.size - rng.randrange(0, 3))
         g = _poset_graph(base, _random_strict_order(base, rng))
-        lat = (_downset_lattice(g) if spec.kind == "distributive-lattice"
-               else _dm_completion(g))
-        if lat.n == spec.size:
-            out.append(lat)
+        family = _lattice_sets(g, spec.kind == "distributive-lattice")
+        if len(family) == spec.size:
+            out.append(inclusion_lattice(family, g.vertices)[1])
     return out
 
 
@@ -170,10 +173,10 @@ def gen_rs_frame(spec: GenSpec) -> list[Frame]:
     if spec.exhaustive:
         # bit a * n + b of mask relates x_a to y_b
         full = (1 << n) - 1
-        frames = (Frame._from_masks(x1, x2, [mask >> a * n & full
-                                             for a in range(n)])
-                  for mask in range(2 ** (n * n)))
-        return [f for f in frames if check_frame(f).is_rs]
+        candidates = ([mask >> a * n & full for a in range(n)]
+                      for mask in range(2 ** (n * n)))
+        return [Frame._from_masks(x1, x2, rows) for rows in candidates
+                if _is_rs(rows, _transpose(rows, n))]
     rng = random.Random(spec.seed)
     out = []
     attempts = 0
@@ -182,11 +185,10 @@ def gen_rs_frame(spec: GenSpec) -> list[Frame]:
         if attempts > 2000 * spec.count:
             raise SizeUnreachable(
                 f"no RS frame at size {spec.size} after {attempts} tries")
-        f = Frame._from_masks(x1, x2, [
-            sum(1 << b for b in range(n) if rng.random() < 0.5)
-            for _ in range(n)])
-        if check_frame(f).is_rs:
-            out.append(f)
+        rows = [sum(1 << b for b in range(n) if rng.random() < 0.5)
+                for _ in range(n)]
+        if _is_rs(rows, _transpose(rows, n)):
+            out.append(Frame._from_masks(x1, x2, rows))
     return out
 
 
@@ -194,9 +196,8 @@ def gen_tirs_graph(spec: GenSpec) -> list[Graph]:
     """TiRS graphs: dual graphs of generated lattices plus generated
     posets (every poset is a TiRS graph)."""
     _expect_kind(spec, ("tirs-graph",))
-    posets = gen_poset(GenSpec("poset", spec.size, spec.seed, spec.count,
-                               spec.exhaustive))
-    out = list(posets)
+    out = gen_poset(GenSpec("poset", spec.size, spec.seed, spec.count,
+                            spec.exhaustive))
     try:
         lats = gen_lattice(GenSpec("lattice", max(2, spec.size), spec.seed,
                                    spec.count, spec.exhaustive))

@@ -20,7 +20,12 @@ from .lattice import CheckReport, Witness, bits
 
 
 def _names(mask: int, names) -> frozenset[str]:
-    return frozenset(names[i] for i in bits(mask))
+    out = []  # bits() inlined: this runs once per Galois map
+    while mask:
+        low = mask & -mask
+        out.append(names[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def _index(names, duplicate: str) -> dict[str, int]:
@@ -252,6 +257,22 @@ def _equal_pairs(keys, names, label):
                 yield Witness(label, (names[i], names[j]))
 
 
+def _upper_meets(masks, width: int):
+    """(up, u, bad): up[x] masks the i whose mask contains masks[x], u[x] is
+    the AND of their masks over range(width), x's own left out, and bad
+    lists the x at which (R) fails: no point outside masks[x] is in u[x]."""
+    up = _supersets(masks)
+    u = [_meet(masks, bits(s & ~(1 << x)), width) for x, s in enumerate(up)]
+    return up, u, [x for x, m in enumerate(masks) if not ~m & u[x]]
+
+
+def _is_rs(rows, cols) -> bool:
+    """Frame (S) and (R) decided on the row and column masks alone.  (S)
+    needs no test of its own: two equal masks make (R) fail at both."""
+    return not (_upper_meets(rows, len(cols))[2]
+                or _upper_meets(cols, len(rows))[2])
+
+
 def check_graph(g: Graph, all_witnesses: bool = False) -> ConditionReport:
     """Evaluate reflexivity, (S), (R)(i)+(ii) and (Ti) on a graph.
 
@@ -299,17 +320,14 @@ def check_graph(g: Graph, all_witnesses: bool = False) -> ConditionReport:
 
 
 class _HTable:
-    """The table behind frame (R), the H-set and (Ti).  up1[x] masks the w
-    whose row contains row(x); u1[x] is the AND of their rows, x's own
-    left out; up2 and u2 are the same on columns.  h[x] masks the y with
-    (x, y) an H-pair: y outside row(x), y in u1[x] and x in u2[y]."""
+    """The table behind frame (R), the H-set and (Ti): up1, u1 and r1 are
+    the _upper_meets of the rows, up2, u2 and r2 those of the columns.
+    h[x] masks the y with (x, y) an H-pair: y outside row(x), y in u1[x]
+    and x in u2[y]."""
 
     def __init__(self, f: Frame):
-        self.up1, self.up2 = _supersets(f.rows), _supersets(f.cols)
-        self.u1 = [_meet(f.rows, bits(u & ~(1 << x)), len(f.x2))
-                   for x, u in enumerate(self.up1)]
-        self.u2 = [_meet(f.cols, bits(u & ~(1 << y)), len(f.x1))
-                   for y, u in enumerate(self.up2)]
+        self.up1, self.u1, self.r1 = _upper_meets(f.rows, len(f.x2))
+        self.up2, self.u2, self.r2 = _upper_meets(f.cols, len(f.x1))
         self.h = [sum(1 << y for y in bits(~row & self.u1[x])
                       if self.u2[y] >> x & 1)
                   for x, row in enumerate(f.rows)]
@@ -322,13 +340,8 @@ def check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
     t = f.table
     cond_s = itertools.chain(_equal_pairs(f.rows, f.x1, "S(i)"),
                              _equal_pairs(f.cols, f.x2, "S(ii)"))
-    # x needs a y outside its row that every other w whose row contains
-    # row(x) is related to; dually for y
-    cond_r = itertools.chain(
-        (Witness("R(i)", (f.x1[x],))
-         for x, row in enumerate(f.rows) if not ~row & t.u1[x]),
-        (Witness("R(ii)", (f.x2[y],))
-         for y, col in enumerate(f.cols) if not ~col & t.u2[y]))
+    cond_r = itertools.chain((Witness("R(i)", (f.x1[x],)) for x in t.r1),
+                             (Witness("R(ii)", (f.x2[y],)) for y in t.r2))
     return ConditionReport(
         reflexive=CheckReport.ok(),
         condS=_collect(cond_s, all_witnesses),

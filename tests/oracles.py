@@ -10,11 +10,18 @@ import itertools
 import json
 import random
 
-from tirs.errors import NoBounds, NotALattice, NotAPartialOrder, NotPerfect
+from tirs.errors import (InvalidInput, NoBounds, NotALattice,
+                         NotAPartialOrder, NotPerfect, SizeUnreachable)
+from tirs.functors import graph_iso
 from tirs.galois import GaloisLattice
-from tirs.lattice import CheckReport, FiniteLattice, Witness, bits
+from tirs.generators import (_enumerate_strict_orders, _poset_graph,
+                             _random_strict_order)
+from tirs.lattice import (CheckReport, FiniteLattice, Witness, _finish_lattice,
+                          bits, is_distributive, lattice_iso,
+                          pairwise_closure)
 from tirs.pti import PTiWitness
-from tirs.structures import ConditionReport, Frame, Graph
+from tirs.structures import (ConditionReport, Frame, Graph, check_frame,
+                             subset)
 
 
 def subsets(xs):
@@ -764,6 +771,121 @@ def set_gen_rs_frame(spec) -> list[Frame]:
     while len(out) < spec.count:
         f = Frame(x1, x2, frozenset(c for c in cells if rng.random() < 0.5))
         if rs(f):
+            out.append(f)
+    return out
+
+
+# -- generation before it worked on masks -----------------------------------
+#
+# Families of sets are frozensets of names, every random attempt builds its
+# lattice before its size is checked, an exhaustive candidate is compared
+# with every structure kept so far, and every candidate RS frame is built
+# and put through check_frame.
+
+
+def frozen_inclusion_lattice(family):
+    """A family of sets in (size, members) order, and the lattice it forms
+    under inclusion with each set named by its members."""
+    sets = sorted(family, key=lambda s: (len(s), sorted(s)))
+    index = {x: i for i, x in enumerate(frozenset().union(*sets))}
+    masks = [sum(1 << index[x] for x in s) for s in sets]
+    leq = frozenset((i, j) for i, si in enumerate(masks)
+                    for j, sj in enumerate(masks) if subset(si, sj))
+    names, first = [_set_name(s) for s in sets], {}
+    for s, name in zip(sets, names):  # a "," in a point name can collide
+        if first.setdefault(name, s) != s:
+            raise InvalidInput(f"sets {sorted(first[name])} and {sorted(s)} "
+                               f"are both named {name}")
+    return sets, _finish_lattice(names, leq)
+
+
+def frozen_downset_lattice(g: Graph) -> FiniteLattice:
+    """Lattice of downsets of a poset graph, ordered by inclusion."""
+    downs = pairwise_closure({frozenset()} | {g.col(v) for v in g.vertices},
+                             frozenset.__or__, frozenset.__and__)
+    return frozen_inclusion_lattice(downs)[1]
+
+
+def frozen_dm_completion(g: Graph) -> FiniteLattice:
+    """Dedekind-MacNeille completion of a poset graph: the Galois-closed
+    sets of the order polarity (P, P, <=), the intersection closure of the
+    principal downsets and P itself."""
+    cuts = pairwise_closure({frozenset(g.vertices)}
+                            | {g.col(v) for v in g.vertices},
+                            frozenset.__and__)
+    return frozen_inclusion_lattice(cuts)[1]
+
+
+def pairwise_posets(n: int) -> list[Graph]:
+    """Exhaustive gen_poset: each candidate against every kept poset."""
+    out: list[Graph] = []
+    for rel in _enumerate_strict_orders(n):
+        g = _poset_graph(n, rel)
+        if not any(graph_iso(g, h) for h in out):
+            out.append(g)
+    return out
+
+
+def pairwise_gen_lattice(spec) -> list[FiniteLattice]:
+    """gen_lattice with exhaustive candidates compared against every kept
+    lattice, and every random attempt built in full."""
+    if spec.exhaustive:
+        out: list[FiniteLattice] = []
+        names = tuple(f"e{i}" for i in range(spec.size))
+        loops = {(i, i) for i in range(spec.size)}
+        for rel in _enumerate_strict_orders(spec.size):
+            try:
+                lat = _finish_lattice(names, frozenset(rel | loops))
+            except (NotALattice, NoBounds):
+                continue
+            if spec.kind == "distributive-lattice" and \
+                    not is_distributive(lat):
+                continue
+            if not any(lattice_iso(lat, other) for other in out):
+                out.append(lat)
+        return out
+    rng = random.Random(spec.seed)
+    out = []
+    attempts = 0
+    while len(out) < spec.count:
+        attempts += 1
+        if attempts > 400 * spec.count:
+            raise SizeUnreachable(
+                f"no {spec.kind} of size {spec.size} after {attempts} tries")
+        base = max(1, spec.size - rng.randrange(0, 3))
+        g = _poset_graph(base, _random_strict_order(base, rng))
+        lat = (frozen_downset_lattice(g)
+               if spec.kind == "distributive-lattice"
+               else frozen_dm_completion(g))
+        if lat.n == spec.size:
+            out.append(lat)
+    return out
+
+
+def framewise_gen_rs_frame(spec) -> list[Frame]:
+    """gen_rs_frame with every candidate built as a Frame and kept when
+    check_frame finds it RS."""
+    n = spec.size
+    x1 = tuple(f"x{i}" for i in range(n))
+    x2 = tuple(f"y{i}" for i in range(n))
+    if spec.exhaustive:
+        full = (1 << n) - 1
+        frames = (Frame._from_masks(x1, x2, [mask >> a * n & full
+                                             for a in range(n)])
+                  for mask in range(2 ** (n * n)))
+        return [f for f in frames if check_frame(f).is_rs]
+    rng = random.Random(spec.seed)
+    out = []
+    attempts = 0
+    while len(out) < spec.count:
+        attempts += 1
+        if attempts > 2000 * spec.count:
+            raise SizeUnreachable(
+                f"no RS frame at size {spec.size} after {attempts} tries")
+        f = Frame._from_masks(x1, x2, [
+            sum(1 << b for b in range(n) if rng.random() < 0.5)
+            for _ in range(n)])
+        if check_frame(f).is_rs:
             out.append(f)
     return out
 

@@ -15,9 +15,10 @@ from tirs.functors import (GraphMorphism, alpha, beta, check_naturality,
                            identity_graph_morphism, rho, rho_mor,
                            validate_graph_morphism)
 from tirs.galois import (canext_polarity, canext_tandem, closed_sets,
-                         irreducibles_of_galois, jinfty_via_maximal_pairs)
-from tirs.generators import (GenSpec, _downset_lattice, gen_lattice,
-                             gen_poset, gen_rs_frame, random_monotone_map)
+                         inclusion_lattice, irreducibles_of_galois,
+                         jinfty_via_maximal_pairs)
+from tirs.generators import (GenSpec, _lattice_sets, gen_lattice, gen_poset,
+                             gen_rs_frame, random_monotone_map)
 from tirs.lattice import (check_dense, irreducibles, is_distributive,
                           lattice_iso)
 from tirs.ploscica import dual_graph
@@ -267,8 +268,9 @@ def test_criterion_10_birkhoff_specialization(capsys):
             # edges
             rev = Graph(g.vertices,
                         frozenset((b, a) for a, b in g.edges))
-            assert lattice_iso(gl.as_lattice,
-                               _downset_lattice(rev)) is not None
+            downsets = inclusion_lattice(_lattice_sets(rev, True),
+                                         rev.vertices)[1]
+            assert lattice_iso(gl.as_lattice, downsets) is not None
     _gate(10, "on distributive lattices the duality specializes to the "
               "poset and downset picture", body, capsys)
 

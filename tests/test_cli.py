@@ -242,6 +242,19 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith(
             "error: check-pti expects a lattice file")
 
+    def test_check_pti_with_a_lattice_and_a_frame(self, files, capsys):
+        """Only one of the two would be checked, so the pair is refused."""
+        assert run(["check-pti", files["n5"], "--frame", files["diag"]]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: check-pti takes a lattice file or --frame, not both\n")
+
+    def test_export_dot_of_a_morphism_file(self, tmp_path, capsys):
+        mor = write_json(tmp_path, "mor.json", {"map": [["p0", "p0"]]})
+        assert run(["export-dot", mor]) == 2
+        assert capsys.readouterr().err == (
+            "error: export-dot expects a graph or frame file\n")
+
     def test_directory_for_a_file(self, files, capsys):
         assert run(["check", files["dir"]]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read ")

@@ -4,6 +4,7 @@ import pytest
 
 from tirs import fixtures
 from tirs.errors import InvalidInput, SizeUnreachable
+from tirs.galois import inclusion_lattice
 from tirs.generators import (GenSpec, gen_lattice, gen_poset, gen_rs_frame,
                              gen_tirs_graph, generate, random_monotone_map)
 from tirs.lattice import is_distributive, lattice_iso
@@ -53,19 +54,20 @@ class TestLattices:
             assert is_distributive(L)
 
     def test_two_antichain_downsets_give_b2(self):
-        from tirs.generators import _downset_lattice, _poset_graph
-        L = _downset_lattice(_poset_graph(2, set()))
+        from tirs.generators import _lattice_sets, _poset_graph
+        g = _poset_graph(2, set())
+        L = inclusion_lattice(_lattice_sets(g, True), g.vertices)[1]
         assert lattice_iso(L, fixtures.b2()) is not None
 
     def test_bowtie_completion_is_hexagon(self):
         # crossed bowtie n1 < m2, n2 < m1: its completion has six elements
         # and is not distributive
-        from tirs.generators import _dm_completion
+        from tirs.generators import _lattice_sets
         from tirs.structures import Graph
         vs = ("n1", "n2", "m1", "m2")
         edges = frozenset({(v, v) for v in vs}
                           | {("n1", "m2"), ("n2", "m1")})
-        L = _dm_completion(Graph(vs, edges))
+        L = inclusion_lattice(_lattice_sets(Graph(vs, edges), False), vs)[1]
         assert L.n == 6
         assert not is_distributive(L)
 

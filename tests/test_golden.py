@@ -111,6 +111,9 @@ MORE = {
                              "{i}/dualN5.bad.json"]
        for cmd in ("check-morphism", "check-naturality")},
     "check-pti-no-input": ["check-pti"],
+    "check-pti-lattice-and-frame": ["check-pti", "{i}/N5.json", "--frame",
+                                    "{i}/ladder3.json"],
+    "NT4.id.export-dot": ["export-dot", "{i}/NT4.id.json"],
 }
 
 

@@ -16,17 +16,23 @@ from tirs.functors import (FrameMorphism, GraphMorphism, _is_frame_iso,
                            validate_graph_morphism)
 from tirs.galois import (_generation_failures, canext_polarity, closed_sets,
                          closure, frame_of_perfect, galois_down, galois_up)
+from tirs.galois import inclusion_lattice
 from tirs.generators import (GenSpec, _enumerate_strict_orders,
-                             _poset_graph, _random_strict_order, gen_lattice,
+                             _lattice_sets, _poset_graph,
+                             _random_strict_order, gen_lattice, gen_poset,
                              gen_rs_frame)
-from tirs.lattice import (_finish_lattice, build_lattice, irreducibles,
-                          lattice_iso, transitive_closure)
+from tirs.io import dump_structure
+from tirs.lattice import (FiniteLattice, _finish_lattice, build_lattice,
+                          irreducibles, lattice_iso, transitive_closure)
 from tirs.ploscica import dual_graph, maximal_pairs
 from tirs.pti import _pti_pairs, check_pti_frame_form
-from tirs.structures import Frame, Graph, check_frame, check_graph, \
-    is_poset_graph
+from tirs.structures import Frame, Graph, _is_rs, check_frame, \
+    check_graph, is_poset_graph
 
-from oracles import (all_frames, all_graphs, loop_permutes, set_check_frame,
+from oracles import (all_frames, all_graphs, framewise_gen_rs_frame,
+                     frozen_dm_completion, frozen_downset_lattice,
+                     frozen_inclusion_lattice, loop_permutes,
+                     pairwise_gen_lattice, pairwise_posets, set_check_frame,
                      set_check_graph, set_closed_sets, set_closure,
                      set_covers, set_dual_graph, set_finish_lattice,
                      set_frame_iso, set_frame_of_perfect, set_galois_down,
@@ -225,6 +231,68 @@ def test_rs_frames_match_the_set_generator(spec):
         assert_same_carrier(f, w)
 
 
+def assert_same_structures(got, want):
+    """The same structures in the same order: equal, lattices with equal
+    elements and leq, and the same bytes from dump_structure."""
+    assert got == want
+    for a, b in zip(got, want):
+        if isinstance(b, FiniteLattice):
+            assert (a.elements, a.leq) == (b.elements, b.leq)
+    assert [dump_structure(x) for x in got] == \
+        [dump_structure(x) for x in want]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_exhaustive_posets_match_the_pairwise_dedupe(n):
+    assert_same_structures(gen_poset(GenSpec("poset", n, exhaustive=True)),
+                           pairwise_posets(n))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "distributive-lattice"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exhaustive_lattices_match_the_pairwise_dedupe(kind, n):
+    spec = GenSpec(kind, n, exhaustive=True)
+    assert_same_structures(gen_lattice(spec), pairwise_gen_lattice(spec))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "distributive-lattice"])
+def test_random_lattices_match_building_every_attempt(kind):
+    for seed in range(20):
+        for size in range(2, 9):
+            spec = GenSpec(kind, size, seed, count=3)
+            assert_same_structures(gen_lattice(spec),
+                                   pairwise_gen_lattice(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    *(GenSpec("rs-frame", n, exhaustive=True) for n in (1, 2, 3)),
+    *(GenSpec("rs-frame", n, seed, count=3)
+      for n in (1, 2, 3) for seed in range(5))], ids=repr)
+def test_rs_frames_match_the_checked_filter(spec):
+    assert_same_structures(gen_rs_frame(spec), framewise_gen_rs_frame(spec))
+
+
+def test_mask_families_give_the_frozenset_lattices():
+    """Downset lattices and completions of every poset up to 5 points and
+    of random ones up to 12, where v10 sorts before v2."""
+    rng = random.Random(15)
+    graphs = [_poset_graph(n, rel) for n in range(1, 6)
+              for rel in _enumerate_strict_orders(n)]
+    graphs += [_poset_graph(n, _random_strict_order(n, rng))
+               for n in range(9, 13) for _ in range(3)]
+    for g in graphs:
+        for distributive, want in ((True, frozen_downset_lattice(g)),
+                                   (False, frozen_dm_completion(g))):
+            got = inclusion_lattice(_lattice_sets(g, distributive),
+                                    g.vertices)[1]
+            assert_same_structures([got], [want])
+    # bit 0 is b and bit 1 is a, so index order is not name order
+    family = [frozenset(s) for s in ("ac", "c", "", "abc", "a")]
+    got = inclusion_lattice([0b110, 0b100, 0, 0b111, 0b010],
+                            ("b", "a", "c"))
+    assert got == frozen_inclusion_lattice(family)
+
+
 @pytest.mark.parametrize("family", sorted(GRAPHS))
 def test_graph_iso_matches_the_set_search(family):
     rng = random.Random(3)
@@ -241,6 +309,7 @@ def test_frame_checkers_match_the_set_checkers(n1, n2):
     for f in all_frames(n1, n2):
         assert check_frame(f, True) == set_check_frame(f, True)
         assert check_frame(f) == set_check_frame(f)
+        assert _is_rs(f.rows, f.cols) == set_check_frame(f).is_rs
         assert h_set(f) == set_h_set(f)
         assert [w.elements for w in check_pti_frame_form(f, True).witnesses] \
             == set_ti_failures(f)

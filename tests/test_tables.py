@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from tirs import fixtures, lattice, structures
+from tirs import fixtures, galois, generators, lattice, structures
 from tirs.functors import beta, rho
+from tirs.generators import GenSpec, gen_lattice
 from tirs.lattice import FiniteLattice, order_masks
 from tirs.ploscica import dual_graph
 from tirs.pti import pti_bridge_suite
@@ -112,6 +113,26 @@ def test_a_benchmark_lattice_job_builds_no_name_pair_view(monkeypatch, name,
     g = dual_graph(fixtures.n5())
     assert (g.edges, g.edges) and views == {"edges": 1}  # the wrap counts
     assert len(out) == 3
+
+
+@pytest.mark.parametrize("kind", ["lattice", "distributive-lattice"])
+def test_random_gen_lattice_builds_only_the_lattices_it_returns(monkeypatch,
+                                                                kind):
+    """A random attempt of the wrong size is dropped before its tables are
+    built: one lattice build per lattice returned."""
+    built = []
+
+    def counted(elements, rel, build=lattice._finish_lattice):
+        built.append(build(elements, rel))
+        return built[-1]
+
+    for module in (galois, generators):
+        monkeypatch.setattr(module, "_finish_lattice", counted)
+    out = [L for size in range(2, 9)
+           for L in gen_lattice(GenSpec(kind, size, seed=size, count=3))]
+    assert len(out) == 21
+    assert len(built) == len(out)
+    assert all(a is b for a, b in zip(built, out))
 
 
 def test_caches_are_invisible():

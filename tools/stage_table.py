@@ -1,7 +1,7 @@
-"""Per-stage CPU times of the duality pipeline on fixed lattices, for two
-source trees side by side.
+"""Per-stage CPU times of the duality pipeline on fixed lattices, and of
+structure generation, for two source trees side by side.
 
-    python3 tools/stage_table.py --parent REV --out BENCH_8.json
+    python3 tools/stage_table.py --parent REV --out BENCH_10.json
 
 The change column times the working tree (./src), the parent column a
 `git archive` of REV; the output names both by the git tree id of their
@@ -11,9 +11,13 @@ fresh lattice, check_graph, rho, alpha and dump_structure a fresh dual
 graph, gr, beta and closed_sets a fresh rho frame, and parse_structure
 the parsed JSON text of a fresh dual graph.  The pipeline row times one
 pass of every stage but the two serialisation ones in order on one fresh
-lattice, so later stages do reuse what earlier ones cached.  Each figure
-is the median over REPEAT runs, in milliseconds of time.process_time;
-each run is a fresh interpreter, and the two trees take turns.  Stdlib only.
+lattice, so later stages do reuse what earlier ones cached.  The
+generation rows time the GENERATION calls after the stages; a random row
+is one call for each of the seeds 0 to 9, and the suite row builds the
+suite's frame corpus, lattices included, with its caches cleared first.
+Each figure is the median over REPEAT runs, in milliseconds of
+time.process_time; each run is a fresh interpreter, and the two trees take
+turns.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -35,6 +39,17 @@ STAGES = ("dual_graph", "check_graph", "rho", "gr", "alpha", "beta",
           "closed_sets", "canext_tandem", "canext_polarity", "check_pti",
           "dump_structure", "parse_structure")
 REPEAT = 3  # fresh interpreters per tree
+# generation calls: name -> (kind, size, count, exhaustive); the suite row
+# is suite._frames(seed, 8)
+GENERATION = {
+    "gen lattice 8 x3 (seeds 0-9)": ("lattice", 8, 3, False),
+    "gen distributive-lattice 8 x3 (seeds 0-9)":
+        ("distributive-lattice", 8, 3, False),
+    "gen poset 5 exhaustive": ("poset", 5, 1, True),
+    "gen lattice 6 exhaustive": ("lattice", 6, 1, True),
+    "gen rs-frame 3 exhaustive": ("rs-frame", 3, 1, True),
+}
+SUITE_FRAMES = "suite._frames(0, 8)"
 
 
 def lattice_spec(name):
@@ -53,6 +68,8 @@ def measure():
     from tirs import (alpha, beta, build_lattice, canext_polarity,
                       canext_tandem, check_graph, check_pti, closed_sets,
                       dual_graph, gr, rho)
+    from tirs import suite
+    from tirs.generators import GenSpec, generate
     from tirs.io import dump_structure, parse_structure
 
     def lattice(name):
@@ -98,6 +115,15 @@ def measure():
         out[name] = {stage: timed(call, build(name))
                      for stage, (build, call) in stages.items()}
         out[name]["pipeline"] = timed(pipeline, name)
+    out["generation"] = gen = {}
+    for row, (kind, size, count, exhaustive) in GENERATION.items():
+        seeds = [0] if exhaustive else range(10)
+        gen[row] = timed(lambda specs: [generate(s) for s in specs],
+                         [GenSpec(kind, size, seed, count, exhaustive)
+                          for seed in seeds])
+    suite._lattices.cache_clear()
+    suite._frames.cache_clear()
+    gen[SUITE_FRAMES] = timed(lambda seed: suite._frames(seed, 8), 0)
     return out
 
 
@@ -116,7 +142,7 @@ def medians(runs: list[dict]) -> dict:
     return {name: {stage: round(statistics.median(r[name][stage]
                                                   for r in runs), 1)
                    for stage in runs[0][name]}
-            for name in LATTICES}
+            for name in runs[0]}
 
 
 def git(*args) -> str:
@@ -148,6 +174,9 @@ def main():
     rows = [{"lattice": name, "stage": stage, "parent_ms": parent[name][stage],
              "change_ms": change[name][stage]}
             for name in LATTICES for stage in (*STAGES, "pipeline")]
+    gen_rows = [{"call": call, "parent_ms": parent["generation"][call],
+                 "change_ms": change["generation"][call]}
+                for call in (*GENERATION, SUITE_FRAMES)]
     args.out.write_text(json.dumps({
         "tool": "tools/stage_table.py",
         "python": platform.python_version(),
@@ -163,10 +192,13 @@ def main():
         "unit": "ms of time.process_time, median over the repeats, each "
                 "a fresh interpreter, parent and change taking turns",
         "rows": rows,
+        "generation_rows": gen_rows,
     }, indent=2) + "\n")
     for r in rows:
         print(f"{r['lattice']:>4} {r['stage']:<16} {r['parent_ms']:>9.1f} "
               f"{r['change_ms']:>9.1f}")
+    for r in gen_rows:
+        print(f"{r['call']:<42} {r['parent_ms']:>9.1f} {r['change_ms']:>9.1f}")
 
 
 if __name__ == "__main__":
