@@ -47,7 +47,7 @@ def closure(f: Frame, A) -> frozenset[str]:
     return galois_down(f, galois_up(f, A))
 
 
-def _set_name(s: frozenset[str]) -> str:
+def _set_name(s) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
 
