@@ -6,9 +6,9 @@ shuffled order, is included with probability 1/2, then the relation is
 transitively closed.  Identical GenSpec values yield identical output.
 
 Generation works on int masks and builds a structure only once it is kept:
-a random lattice is sized on its family of sets before its tables are
-built, an RS frame is decided on its masks, and exhaustive mode compares a
-candidate only with kept structures of the same isomorphism invariant.
+a random lattice is sized on its family of sets before it is built, an RS
+frame is decided on its masks, and an exhaustive lattice of n elements is
+a poset class of n - 2 points between a bottom and a top.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidInput, NoBounds, NotALattice, SizeUnreachable
+from .errors import InvalidInput, NotALattice, SizeUnreachable
 from .galois import inclusion_lattice
-from .lattice import (FiniteLattice, _finish_lattice, is_distributive,
+from .lattice import (FiniteLattice, _finish_lattice, bits, is_distributive,
                       mask_iso, pairwise_closure, transitive_closure)
 from .ploscica import dual_graph
 from .structures import Frame, Graph, _is_rs, _transpose
 
 EXHAUSTIVE_POSET_MAX = 5
-EXHAUSTIVE_LATTICE_MAX = 6
+EXHAUSTIVE_LATTICE_MAX = EXHAUSTIVE_POSET_MAX + 2
 EXHAUSTIVE_FRAME_MAX = 3
 
 # Largest size exhaustive mode accepts, by kind (tirs-graph also enumerates
@@ -84,19 +84,19 @@ def _enumerate_strict_orders(n: int):
             yield rel
 
 
-def _distinct(items, masks) -> list:
-    """The items not isomorphic to an earlier one, in order; masks(x) gives
-    x's row and column masks.  Only kept items with the same multiset of
-    (row size, column size) are compared: isomorphic ones share it."""
+def _poset_classes(n: int) -> list[Graph]:
+    """One poset graph on n points per isomorphism class, the first of its
+    class in mask order.  A candidate is compared only with kept posets of
+    its multiset of (up-set size, down-set size): isomorphic ones share it."""
     kept: dict[tuple, list] = {}
     out = []
-    for x in items:
-        rows, cols = masks(x)
+    for rel in _enumerate_strict_orders(n):
+        g = _poset_graph(n, rel)
         same = kept.setdefault(tuple(sorted(zip(
-            map(int.bit_count, rows), map(int.bit_count, cols)))), [])
-        if all(mask_iso(rows, cols, *other) is None for other in same):
-            same.append((rows, cols))
-            out.append(x)
+            map(int.bit_count, g.succ), map(int.bit_count, g.pred)))), [])
+        if all(mask_iso(g.succ, g.pred, *other) is None for other in same):
+            same.append((g.succ, g.pred))
+            out.append(g)
     return out
 
 
@@ -105,9 +105,7 @@ def gen_poset(spec: GenSpec) -> list[Graph]:
     all posets of the given size up to isomorphism."""
     _expect_kind(spec, ("poset",))
     if spec.exhaustive:
-        return _distinct((_poset_graph(spec.size, rel)
-                          for rel in _enumerate_strict_orders(spec.size)),
-                         lambda g: (g.succ, g.pred))
+        return _poset_classes(spec.size)
     rng = random.Random(spec.seed)
     return [_poset_graph(spec.size, _random_strict_order(spec.size, rng))
             for _ in range(spec.count)]
@@ -134,18 +132,22 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
     """
     _expect_kind(spec, ("lattice", "distributive-lattice"))
     if spec.exhaustive:
+        # bound each poset class of n - 2 points by 0 and n - 1, which every
+        # isomorphism fixes: one lattice class at most, in its first labelling
+        n = spec.size
+        names = tuple(f"e{i}" for i in range(n))
+        bounds = {(0, i) for i in range(n)} | {(i, n - 1) for i in range(n)}
         lats: list[FiniteLattice] = []
-        names = tuple(f"e{i}" for i in range(spec.size))
-        loops = {(i, i) for i in range(spec.size)}
-        for rel in _enumerate_strict_orders(spec.size):
-            # every pair has i < j, so no cycle: only these two can fail
+        for g in _poset_classes(max(n - 2, 0)):
             try:
-                lat = _finish_lattice(names, frozenset(rel | loops))
-            except (NotALattice, NoBounds):
+                lat = _finish_lattice(names, frozenset(bounds | {
+                    (a + 1, b + 1) for a in range(n - 2)
+                    for b in bits(g.succ[a])}))
+            except NotALattice:
                 continue
             if spec.kind == "lattice" or is_distributive(lat):
                 lats.append(lat)
-        return _distinct(lats, lambda L: (L.ups, L.downs))
+        return lats
 
     rng = random.Random(spec.seed)
     out = []

@@ -220,32 +220,30 @@ def _subsets(xs):
 
 
 def task_galois_laws(seed):
-    frames = _corpus_frames(seed)
-    for f in frames:
+    for f in _corpus_frames(seed):
         small = len(f.x1) <= 4 and len(f.x2) <= 4
         a_pool = list(_subsets(f.x1)) if small else [(), tuple(f.x1[:1]),
                                                      tuple(f.x1)]
         b_pool = list(_subsets(f.x2)) if small else [(), tuple(f.x2[:1]),
                                                      tuple(f.x2)]
-        for A in a_pool:
-            up = galois_up(f, A)
+        ups = [galois_up(f, A) for A in a_pool]
+        downs = [galois_down(f, B) for B in b_pool]
+        for A, up in zip(a_pool, ups):
             if galois_up(f, galois_down(f, up)) != up:
                 return False, "R-up closure law fails"
-            for B in b_pool:
-                if (frozenset(A) <= galois_down(f, B)) != \
-                        (frozenset(B) <= galois_up(f, A)):
+            for B, down in zip(b_pool, downs):
+                if (frozenset(A) <= down) != (frozenset(B) <= up):
                     return False, "adjunction fails"
-        for B in b_pool:
-            down = galois_down(f, B)
+        for down in downs:
             if galois_down(f, galois_up(f, down)) != down:
                 return False, "R-down closure law fails"
         # row/column translation law
-        for x in f.x1:
-            cx = closure(f, {x})
-            for w in f.x1:
+        closures = [closure(f, {x}) for x in f.x1]
+        for x, cx in zip(f.x1, closures):
+            for w, cw in zip(f.x1, closures):
                 if (w in cx) != (f.row(x) <= f.row(w)):
                     return False, "upset law (i) fails"
-                if (closure(f, {w}) <= cx) != (f.row(x) <= f.row(w)):
+                if (cw <= cx) != (f.row(x) <= f.row(w)):
                     return False, "upset law (ii) fails"
             for y in f.x2:
                 if (cx <= f.col(y)) != f.has(x, y):

@@ -164,6 +164,14 @@ class TestGen:
                     "--exhaustive"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 5
 
+    def test_exhaustive_lattices_stop_at_size_7(self, capsys):
+        assert run(["gen", "--kind", "lattice", "--size", "7",
+                    "--exhaustive"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 53
+        assert run(["gen", "--kind", "lattice", "--size", "8",
+                    "--exhaustive"]) == 2
+        assert "size 7" in capsys.readouterr().err
+
 
 class TestExportDot:
     def test_graph(self, files, capsys):

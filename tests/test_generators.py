@@ -72,9 +72,15 @@ class TestLattices:
         assert not is_distributive(L)
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 1), (4, 2),
-                                         (5, 5)])
+                                         (5, 5), (6, 15), (7, 53)])
     def test_exhaustive_counts(self, n, count):
         got = gen_lattice(GenSpec("lattice", n, exhaustive=True))
+        assert len(got) == count
+
+    @pytest.mark.parametrize("n,count", enumerate([1, 1, 1, 2, 3, 5, 8], 1))
+    def test_exhaustive_distributive_counts(self, n, count):
+        # OEIS A006982
+        got = gen_lattice(GenSpec("distributive-lattice", n, exhaustive=True))
         assert len(got) == count
 
     def test_exhaustive_distributive_excludes_n5_m3(self):

@@ -1,5 +1,6 @@
 import pytest
 
+from tirs import suite
 from tirs.suite import TASKS, run_suite
 
 
@@ -21,3 +22,15 @@ def test_deterministic_for_a_seed():
 
 def test_task_count():
     assert len(TASKS) == 13
+
+
+@pytest.mark.parametrize("name,wrong,law", [
+    ("galois_up", lambda f, A: frozenset(), "adjunction fails"),
+    ("galois_down", lambda f, B: frozenset(), "R-up closure law fails"),
+    ("closure", lambda f, A: frozenset(A), "upset law (i) fails"),
+], ids=["galois_up", "galois_down", "closure"])
+def test_galois_laws_catch_a_planted_fault(monkeypatch, name, wrong, law):
+    """Each map the task computes once per frame is still checked: a wrong
+    one fails the first law that reads it."""
+    monkeypatch.setattr(suite, name, wrong)
+    assert suite.task_galois_laws(0) == (False, law)

@@ -135,6 +135,28 @@ def test_random_gen_lattice_builds_only_the_lattices_it_returns(monkeypatch,
     assert all(a is b for a, b in zip(built, out))
 
 
+def test_exhaustive_gen_lattice_builds_once_per_bounded_poset_class(
+        monkeypatch):
+    """Exhaustive lattices of size 6 try one build per poset class of 4
+    points, which a bottom and a top bound, and dedupe only those posets:
+    no strict order on 6 points is built or compared."""
+    built, compared = [], []
+
+    def counted(elements, rel, build=lattice._finish_lattice):
+        built.append(rel)
+        return build(elements, rel)
+
+    def iso(rows1, cols1, rows2, cols2, search=lattice.mask_iso):
+        compared.append(len(rows1))
+        return search(rows1, cols1, rows2, cols2)
+
+    monkeypatch.setattr(generators, "_finish_lattice", counted)
+    monkeypatch.setattr(generators, "mask_iso", iso)
+    assert len(gen_lattice(GenSpec("lattice", 6, exhaustive=True))) == 15
+    assert len(built) == 16
+    assert compared and set(compared) == {4}
+
+
 def test_caches_are_invisible():
     L = fixtures.n5()
     g = dual_graph(L)

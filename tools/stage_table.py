@@ -47,6 +47,9 @@ GENERATION = {
         ("distributive-lattice", 8, 3, False),
     "gen poset 5 exhaustive": ("poset", 5, 1, True),
     "gen lattice 6 exhaustive": ("lattice", 6, 1, True),
+    "gen distributive-lattice 6 exhaustive":
+        ("distributive-lattice", 6, 1, True),
+    "gen tirs-graph 5 exhaustive": ("tirs-graph", 5, 1, True),
     "gen rs-frame 3 exhaustive": ("rs-frame", 3, 1, True),
 }
 SUITE_FRAMES = "suite._frames(0, 8)"
