@@ -169,12 +169,11 @@ def canext_tandem(L: FiniteLattice):
     f = rho(g)
     gl = closed_sets(f)
     cls1 = f.meta["class1"]
-    pairs = maximal_pairs(L)
-    names = [f"p{i}" for i in range(len(pairs))]
+    # g's vertices are the maximal pairs, in maximal_pairs order
+    pairs = list(zip(g.vertices, maximal_pairs(L)))
 
     emb_map = tuple(
-        _closed_index(gl, frozenset(cls1[names[i]]
-                                    for i, p in enumerate(pairs)
+        _closed_index(gl, frozenset(cls1[v] for v, p in pairs
                                     if L.le(p.x, a)), L.name(a))
         for a in range(L.n))
     emb = LatticeEmbedding(L, gl.as_lattice, emb_map)

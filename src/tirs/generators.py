@@ -13,6 +13,7 @@ a poset class of n - 2 points between a bottom and a top.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -173,10 +174,10 @@ def gen_rs_frame(spec: GenSpec) -> list[Frame]:
     x1 = tuple(f"x{i}" for i in range(n))
     x2 = tuple(f"y{i}" for i in range(n))
     if spec.exhaustive:
-        # bit a * n + b of mask relates x_a to y_b
-        full = (1 << n) - 1
-        candidates = ([mask >> a * n & full for a in range(n)]
-                      for mask in range(2 ** (n * n)))
+        # (R) rejects equal rows, so only distinct rows are tried; reversed,
+        # each tuple varies row 0 fastest, in the order of the frame masks
+        candidates = (rows[::-1] for rows in
+                      itertools.permutations(range(1 << n), n))
         return [Frame._from_masks(x1, x2, rows) for rows in candidates
                 if _is_rs(rows, _transpose(rows, n))]
     rng = random.Random(spec.seed)

@@ -1,20 +1,16 @@
 """The PTi condition on finite perfect lattices, its frame-level form, and
 the bridge suite tying the two together through the closed-set lattice.
 
-PTi asks that every disjoint pair (up x, down y) generated by a
-join-irreducible x and a meet-irreducible y extends to a maximal disjoint
-pair (up w, down z) with w join-irreducible and z meet-irreducible.  The
-maximality clauses quantify over irreducibles only:
-
-  (i)   w <= x and y <= z
-  (ii)  w is not below z
-  (iii) every join-irreducible u < w lies below z
-  (iv)  every meet-irreducible v > z lies above w
-
-Clause (iv) is stated here with the witness z, matching the frame-level
-form (strict column inclusion from Rz) via the row/column translation
-lemma; stating it from y instead would make even 5-element lattices fail
-while their frames satisfy (Ti).
+PTi asks that every pair (x, y) of a join-irreducible x and a
+meet-irreducible y with x not below y lies below a maximal disjoint pair
+(up w, down z) of ploscica.maximal_pairs: w <= x and y <= z.  In a finite
+lattice w and z are irreducible (were w the join of two elements below it,
+both would lie below z, and so would w), and as every element is a join of
+join-irreducibles and a meet of meet-irreducibles, maximality over the
+irreducibles is maximality over all elements.  It asks every v > z, not
+every v > y, to lie above w, as the frame form does via the row/column
+translation lemma; asked from y, even 5-element lattices would fail while
+their frames satisfy (Ti).
 """
 
 from __future__ import annotations
@@ -24,9 +20,10 @@ from typing import Optional
 
 from .errors import NotPerfect, NotRS
 from .lattice import CheckReport, FiniteLattice, Witness, bits
-from .structures import Frame, _collect, check_frame, subset, ti_failures
+from .structures import Frame, _collect, check_frame, ti_failures
 from .galois import check_perfect, closed_sets, frame_of_perfect
 from .functors import frame_iso
+from .ploscica import maximal_pairs
 
 
 @dataclass(frozen=True)
@@ -41,18 +38,15 @@ class PTiWitness:
 def _pti_pairs(C: FiniteLattice, all_witnesses: bool):
     ups, downs = C.ups, C.downs
     jmask, mmask = C.irreducible_masks
-    # clause (iii) asks below_w[w] inside down(z), clause (iv) above_z[z]
-    # inside up(w)
-    below_w = {w: downs[w] & jmask & ~(1 << w) for w in bits(jmask)}
-    above_z = {z: ups[z] & mmask & ~(1 << z) for z in bits(mmask)}
+    maximal = [0] * C.n  # the z of the maximal pairs (up w, down z), by w
+    for p in maximal_pairs(C) if C.n > 1 else ():  # none on one element
+        maximal[p.x] |= 1 << p.y
     witnesses = []
     failures = []
     for x in bits(jmask):
         for y in bits(mmask & ~ups[x]):
-            found = next(((w, z) for w in bits(downs[x] & jmask)
-                          for z in bits(ups[y] & mmask & ~ups[w])
-                          if subset(below_w[w], downs[z])
-                          and subset(above_z[z], ups[w])), None)
+            found = next(((w, z) for w in bits(downs[x])
+                          for z in bits(ups[y] & maximal[w])), None)
             if found:
                 witnesses.append(PTiWitness(C.name(x), C.name(y),
                                             C.name(found[0]),
@@ -105,6 +99,11 @@ def pti_bridge_suite(f: Frame) -> CheckReport:
 
     Implications are evaluated as material conditionals per instance.
     """
+    return _bridge(f)[0]
+
+
+def _bridge(f: Frame) -> tuple[CheckReport, CheckReport]:
+    """pti_bridge_suite(f), and the PTi report of f's closed-set lattice."""
     rep = check_frame(f)
     if not rep.is_rs:
         failing = rep.condS if not rep.condS else rep.condR
@@ -122,4 +121,4 @@ def pti_bridge_suite(f: Frame) -> CheckReport:
                            back_rep.condTi.witnesses[0].elements))
     if frame_iso(frame_back, f) is None:
         bad.append(Witness("frame-roundtrip", ()))
-    return CheckReport.ok() if not bad else CheckReport.fail(bad)
+    return CheckReport.ok() if not bad else CheckReport.fail(bad), pti_rep

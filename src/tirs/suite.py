@@ -25,7 +25,7 @@ from .functors import (GraphMorphism, alpha, beta, compose_frame,
 from .lattice import (LatticeEmbedding, check_dense, filters_ideals,
                       irreducibles, lattice_iso)
 from .ploscica import dual_graph
-from .pti import check_pti, check_pti_frame_form, pti_bridge_suite
+from .pti import _bridge, check_pti, check_pti_frame_form
 from .structures import check_frame, check_graph, h_set, is_poset_graph
 
 
@@ -279,9 +279,9 @@ def task_pti(seed):
         if not rep:
             return False, f"finite lattice {L.elements} fails PTi"
     for f in _corpus_frames(seed):
-        if not pti_bridge_suite(f):
+        bridge, lattice_form = _bridge(f)
+        if not bridge:
             return False, "bridge suite fails"
-        lattice_form, _ = check_pti(closed_sets(f).as_lattice)
         if bool(check_pti_frame_form(f)) != bool(lattice_form):
             return False, "frame/lattice PTi forms disagree"
     if check_pti_frame_form(fixtures.f2x1()):

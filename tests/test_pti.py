@@ -1,12 +1,12 @@
 import pytest
 
-from tirs import fixtures
+from tirs import fixtures, pti
 from tirs.errors import InvalidInput, NotRS
 from tirs.functors import rho
 from tirs.galois import closed_sets
 from tirs.pti import (PTiWitness, check_pti, check_pti_frame_form,
                       pti_bridge_suite)
-from tirs.ploscica import dual_graph
+from tirs.ploscica import dual_graph, maximal_pairs
 from tirs.structures import Frame, check_frame
 
 from oracles import all_frames, literal_ti_failures
@@ -37,6 +37,16 @@ class TestLatticeForm:
         _, wits = check_pti(fixtures.m3())
         assert {(w.x, w.y) for w in wits} == \
             {(x, y) for x in "abc" for y in "abc" if x != y}
+
+    def test_witnesses_are_the_lattice_maximal_pairs(self, monkeypatch):
+        """PTi reads ploscica.maximal_pairs: with M3's first pair (up a,
+        down b) gone, exactly the pair (a, b) it alone covers fails."""
+        monkeypatch.setattr(pti, "maximal_pairs",
+                            lambda L: maximal_pairs(L)[1:])
+        rep, wits = check_pti(fixtures.m3(), all_witnesses=True)
+        assert [w.elements for w in rep.witnesses] == [("a", "b")]
+        assert [(w.x, w.y) for w in wits
+                if w.status == "unsatisfiable-pair"] == [("a", "b")]
 
     def test_closed_set_lattices_satisfy_pti(self):
         for L in fixtures.all_lattices().values():
@@ -95,6 +105,13 @@ class TestBridge:
     def test_rho_duals(self):
         for L in fixtures.all_lattices().values():
             assert pti_bridge_suite(rho_dual(L))
+
+    def test_a_frame_not_given_back_fails_the_roundtrip(self, monkeypatch):
+        """The report is the bridge's own: with (c) failing it fails, though
+        the closed-set lattice still satisfies PTi."""
+        monkeypatch.setattr(pti, "frame_iso", lambda f, g: None)
+        rep = pti_bridge_suite(fixtures.diagonal_frame())
+        assert [w.condition for w in rep.witnesses] == ["frame-roundtrip"]
 
     def test_rejects_non_rs_input(self):
         with pytest.raises(NotRS):

@@ -1,6 +1,7 @@
 import pytest
 
 from tirs import suite
+from tirs.lattice import CheckReport, Witness
 from tirs.suite import TASKS, run_suite
 
 
@@ -34,3 +35,20 @@ def test_galois_laws_catch_a_planted_fault(monkeypatch, name, wrong, law):
     one fails the first law that reads it."""
     monkeypatch.setattr(suite, name, wrong)
     assert suite.task_galois_laws(0) == (False, law)
+
+
+def _fail(condition):
+    return CheckReport.fail([Witness(condition, ())])
+
+
+@pytest.mark.parametrize("wrong,law", [
+    (lambda bridge, pti: (_fail("planted"), pti), "bridge suite fails"),
+    (lambda bridge, pti: (bridge, _fail("PTi")),
+     "frame/lattice PTi forms disagree"),
+], ids=["bridge", "lattice-form"])
+def test_pti_task_catches_a_planted_fault(monkeypatch, wrong, law):
+    """The task reads both the bridge report and the lattice PTi report
+    from one evaluation per frame: a wrong one fails its own check."""
+    evaluate = suite._bridge
+    monkeypatch.setattr(suite, "_bridge", lambda f: wrong(*evaluate(f)))
+    assert suite.task_pti(0) == (False, law)

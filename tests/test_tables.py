@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tirs import fixtures, galois, generators, lattice, structures
+from tirs import fixtures, galois, generators, lattice, pti, structures, suite
 from tirs.functors import beta, rho
 from tirs.generators import GenSpec, gen_lattice
 from tirs.lattice import FiniteLattice, order_masks
@@ -155,6 +155,29 @@ def test_exhaustive_gen_lattice_builds_once_per_bounded_poset_class(
     assert len(gen_lattice(GenSpec("lattice", 6, exhaustive=True))) == 15
     assert len(built) == 16
     assert compared and set(compared) == {4}
+
+
+def test_pti_task_evaluates_each_frame_once(monkeypatch):
+    """task_pti builds each corpus frame's closed-set lattice once, and runs
+    check_pti once on it and once on each corpus lattice."""
+    monkeypatch.setenv("TIRS_SUITE_MAXSIZE", "4")
+    lats, frames = suite._corpus_lattices(0), suite._corpus_frames(0)
+    closed, checked = [], []
+
+    def count(calls, fn):
+        def counted(x, *args):
+            calls.append(x)
+            return fn(x, *args)
+        return counted
+
+    counted_closed = count(closed, galois.closed_sets)
+    counted_check = count(checked, pti.check_pti)
+    for module in (pti, suite):
+        monkeypatch.setattr(module, "closed_sets", counted_closed)
+        monkeypatch.setattr(module, "check_pti", counted_check)
+    assert suite.task_pti(0)[0]
+    assert closed == list(frames)
+    assert len(checked) == len(lats) + len(frames)
 
 
 def test_caches_are_invisible():

@@ -1,7 +1,7 @@
 """Per-stage CPU times of the duality pipeline on fixed lattices, and of
 structure generation, for two source trees side by side.
 
-    python3 tools/stage_table.py --parent REV --out BENCH_10.json
+    python3 tools/stage_table.py --parent REV --out BENCH_12.json
 
 The change column times the working tree (./src), the parent column a
 `git archive` of REV; the output names both by the git tree id of their
@@ -12,12 +12,14 @@ graph, gr, beta and closed_sets a fresh rho frame, and parse_structure
 the parsed JSON text of a fresh dual graph.  The pipeline row times one
 pass of every stage but the two serialisation ones in order on one fresh
 lattice, so later stages do reuse what earlier ones cached.  The
-generation rows time the GENERATION calls after the stages; a random row
-is one call for each of the seeds 0 to 9, and the suite row builds the
-suite's frame corpus, lattices included, with its caches cleared first.
-Each figure is the median over REPEAT runs, in milliseconds of
-time.process_time; each run is a fresh interpreter, and the two trees take
-turns.  Stdlib only.
+generation rows time the GENERATION calls; a random row is one call for
+each of the seeds 0 to 9.  The suite rows build the suite's frame corpus
+(lattices included) at TIRS_SUITE_MAXSIZE=8, and run the pti-condition
+task for seed 0 on that corpus built beforehand.  Each figure is the median
+over REPEAT runs, in milliseconds of time.process_time.  The stages share
+one fresh interpreter per run, and every generation or suite row has a
+fresh interpreter of its own, so no row runs on the heap another left; the
+two trees take turns.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ STAGES = ("dual_graph", "check_graph", "rho", "gr", "alpha", "beta",
           "closed_sets", "canext_tandem", "canext_polarity", "check_pti",
           "dump_structure", "parse_structure")
 REPEAT = 3  # fresh interpreters per tree
-# generation calls: name -> (kind, size, count, exhaustive); the suite row
-# is suite._frames(seed, 8)
+# generation calls: name -> (kind, size, count, exhaustive)
 GENERATION = {
     "gen lattice 8 x3 (seeds 0-9)": ("lattice", 8, 3, False),
     "gen distributive-lattice 8 x3 (seeds 0-9)":
@@ -53,6 +54,8 @@ GENERATION = {
     "gen rs-frame 3 exhaustive": ("rs-frame", 3, 1, True),
 }
 SUITE_FRAMES = "suite._frames(0, 8)"
+PTI_TASK = 'suite.TASKS["pti-condition"](0)'
+ROWS = (*GENERATION, SUITE_FRAMES, PTI_TASK)
 
 
 def lattice_spec(name):
@@ -66,13 +69,36 @@ def lattice_spec(name):
             [("0", a) for a in atoms] + [(a, "1") for a in atoms])
 
 
+def timed(call, arg):
+    start = time.process_time()
+    call(arg)
+    return (time.process_time() - start) * 1000
+
+
+def measure_row(row):
+    """The ms of one generation or suite row, one run, for the tirs on
+    sys.path."""
+    from tirs import suite
+    from tirs.generators import GenSpec, generate
+
+    if row == SUITE_FRAMES:
+        return timed(lambda seed: suite._frames(seed, 8), 0)
+    if row == PTI_TASK:
+        os.environ["TIRS_SUITE_MAXSIZE"] = "8"
+        suite._frames(0, 8)  # the task's corpus, built before the clock
+        return timed(suite.TASKS["pti-condition"], 0)
+    kind, size, count, exhaustive = GENERATION[row]
+    seeds = [0] if exhaustive else range(10)
+    return timed(lambda specs: [generate(s) for s in specs],
+                 [GenSpec(kind, size, seed, count, exhaustive)
+                  for seed in seeds])
+
+
 def measure():
     """{lattice: {stage: ms}}, one run, for the tirs on sys.path."""
     from tirs import (alpha, beta, build_lattice, canext_polarity,
                       canext_tandem, check_graph, check_pti, closed_sets,
                       dual_graph, gr, rho)
-    from tirs import suite
-    from tirs.generators import GenSpec, generate
     from tirs.io import dump_structure, parse_structure
 
     def lattice(name):
@@ -108,42 +134,33 @@ def measure():
         canext_polarity(L)
         check_pti(L)
 
-    def timed(call, arg):
-        start = time.process_time()
-        call(arg)
-        return (time.process_time() - start) * 1000
-
     out = {}
     for name in LATTICES:
         out[name] = {stage: timed(call, build(name))
                      for stage, (build, call) in stages.items()}
         out[name]["pipeline"] = timed(pipeline, name)
-    out["generation"] = gen = {}
-    for row, (kind, size, count, exhaustive) in GENERATION.items():
-        seeds = [0] if exhaustive else range(10)
-        gen[row] = timed(lambda specs: [generate(s) for s in specs],
-                         [GenSpec(kind, size, seed, count, exhaustive)
-                          for seed in seeds])
-    suite._lattices.cache_clear()
-    suite._frames.cache_clear()
-    gen[SUITE_FRAMES] = timed(lambda seed: suite._frames(seed, 8), 0)
     return out
 
 
-def run_tree(src: Path) -> dict:
-    """measure() in a fresh interpreter importing tirs from src."""
+def run_tree(src: Path, row=None):
+    """In a fresh interpreter importing tirs from src, measure_row(row), or
+    measure() when row is None."""
+    call = "measure()" if row is None else f"measure_row({row!r})"
     code = (f"import sys, json; sys.path.insert(0, {str(src)!r}); "
             f"sys.path.insert(0, {str(ROOT / 'tools')!r}); "
             f"import stage_table; "
-            f"print(json.dumps(stage_table.measure()))")
+            f"print(json.dumps(stage_table.{call}))")
     done = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True)
     return json.loads(done.stdout)
 
 
+def median(xs) -> float:
+    return round(statistics.median(xs), 1)
+
+
 def medians(runs: list[dict]) -> dict:
-    return {name: {stage: round(statistics.median(r[name][stage]
-                                                  for r in runs), 1)
+    return {name: {stage: median(r[name][stage] for r in runs)
                    for stage in runs[0][name]}
             for name in runs[0]}
 
@@ -166,20 +183,20 @@ def main():
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
-        runs = {side: [] for side in trees}
+        runs = {side: {row: [] for row in (None, *ROWS)} for side in trees}
         # the sides take turns, and who goes first alternates, so a drift
         # in machine speed reaches both
         for k in range(REPEAT):
-            for side in sorted(trees, reverse=k % 2 == 1):
-                runs[side].append(run_tree(trees[side]))
-    parent, change = medians(runs["parent"]), medians(runs["change"])
+            for row in (None, *ROWS):
+                for side in sorted(trees, reverse=k % 2 == 1):
+                    runs[side][row].append(run_tree(trees[side], row))
+    parent, change = (medians(runs[side][None]) for side in trees)
 
     rows = [{"lattice": name, "stage": stage, "parent_ms": parent[name][stage],
              "change_ms": change[name][stage]}
             for name in LATTICES for stage in (*STAGES, "pipeline")]
-    gen_rows = [{"call": call, "parent_ms": parent["generation"][call],
-                 "change_ms": change["generation"][call]}
-                for call in (*GENERATION, SUITE_FRAMES)]
+    gen_rows = [{"call": call, "parent_ms": median(runs["parent"][call]),
+                 "change_ms": median(runs["change"][call])} for call in ROWS]
     args.out.write_text(json.dumps({
         "tool": "tools/stage_table.py",
         "python": platform.python_version(),
@@ -193,7 +210,8 @@ def main():
             + (" + uncommitted changes" if dirty else "")},
         "repeat": REPEAT,
         "unit": "ms of time.process_time, median over the repeats, each "
-                "a fresh interpreter, parent and change taking turns",
+                "a fresh interpreter (one for the stages, one per "
+                "generation or suite row), parent and change taking turns",
         "rows": rows,
         "generation_rows": gen_rows,
     }, indent=2) + "\n")
