@@ -15,7 +15,7 @@ from .errors import (EmbeddingNotOnto, InvalidInput, IrreducibleMismatch,
                      NotPerfect)
 from .lattice import (CheckReport, FiniteLattice, LatticeEmbedding, Witness,
                       _finish_lattice, bits, irreducibles, pairwise_closure)
-from .ploscica import dual_graph, maximal_pairs
+from .ploscica import _dual_graph, maximal_pairs
 from .structures import Frame, _meet, _names, subset
 from .functors import rho
 
@@ -106,14 +106,6 @@ def closed_sets(f: Frame) -> GaloisLattice:
     return GaloisLattice(f, tuple(sets), lat, j, m)
 
 
-def _closed_index(gl: GaloisLattice, s: frozenset[str], image_of: str):
-    """The index of the closed set s in gl's lattice view."""
-    i = gl.as_lattice._index.get(_set_name(s))
-    if i is None or gl.closed_sets[i] != s:
-        raise AssertionError(f"image of {image_of} is not a closed set")
-    return i
-
-
 def irreducibles_of_galois(gl: GaloisLattice):
     """J/M-irreducibles by the closure/extent formulas, cross-checked
     against the independent cover-count computation on the lattice view."""
@@ -156,6 +148,28 @@ def frame_of_perfect(C: FiniteLattice) -> Frame:
                                   if C.ups[a] >> b & 1) for a in js])
 
 
+def _extension(L: FiniteLattice, frame: Frame, images):
+    """(embedding, GaloisLattice): the closed sets of frame, with each a in
+    L sent to the closed set whose X1 mask is images[a], verified to be an
+    onto embedding."""
+    gl = closed_sets(frame)
+    index = {sum(1 << frame.index1[p] for p in s): i
+             for i, s in enumerate(gl.closed_sets)}
+    emb_map = []
+    for a, image in enumerate(images):
+        if image not in index:
+            raise AssertionError(f"image of {L.name(a)} is not a closed set")
+        emb_map.append(index[image])
+    emb = LatticeEmbedding(L, gl.as_lattice, tuple(emb_map))
+    rep = emb.validate()
+    if not rep:
+        raise AssertionError(f"not an embedding: {rep.witnesses[0]}")
+    if len(set(emb.map)) != emb.target.n:
+        raise EmbeddingNotOnto(
+            "a finite lattice is its own canonical extension")
+    return emb, gl
+
+
 def canext_tandem(L: FiniteLattice):
     """Canonical extension via the dual graph and the associated frame:
     G(rho(dual_graph(L))), with the embedding sending a to the set of row
@@ -165,20 +179,16 @@ def canext_tandem(L: FiniteLattice):
     onto bounded-lattice embedding; density follows from onto, and
     compactness holds in the finite case, so neither is checked.
     """
-    g = dual_graph(L)
+    pairs = maximal_pairs(L)
+    g = _dual_graph(L, pairs)
     f = rho(g)
-    gl = closed_sets(f)
     cls1 = f.meta["class1"]
     # g's vertices are the maximal pairs, in maximal_pairs order
-    pairs = list(zip(g.vertices, maximal_pairs(L)))
-
-    emb_map = tuple(
-        _closed_index(gl, frozenset(cls1[v] for v, p in pairs
-                                    if L.le(p.x, a)), L.name(a))
-        for a in range(L.n))
-    emb = LatticeEmbedding(L, gl.as_lattice, emb_map)
-    _verify_canonical(emb)
-    return emb, gl
+    images = [0] * L.n
+    for v, p in zip(g.vertices, pairs):
+        for a in bits(L.ups[p.x]):
+            images[a] |= 1 << f.index1[cls1[v]]
+    return _extension(L, f, images)
 
 
 def canext_polarity(L: FiniteLattice):
@@ -190,26 +200,10 @@ def canext_polarity(L: FiniteLattice):
     canext_tandem, the embedding is verified onto, so it is dense.
     """
     # F_i is the filter up(i) and I_j the ideal down(j); the two meet,
-    # up[i] & down[j] != 0, iff i <= j
+    # up[i] & down[j] != 0, iff i <= j; so the closure of {F_a} is down(a)
     frame = Frame._from_masks(tuple(f"F{i}" for i in range(L.n)),
                               tuple(f"I{j}" for j in range(L.n)), L.ups)
-    gl = closed_sets(frame)
-
-    emb_map = tuple(_closed_index(gl, _names(_close(frame, 1 << a), frame.x1),
-                                  L.name(a))
-                    for a in range(L.n))
-    emb = LatticeEmbedding(L, gl.as_lattice, emb_map)
-    _verify_canonical(emb)
-    return emb, gl
-
-
-def _verify_canonical(emb: LatticeEmbedding):
-    rep = emb.validate()
-    if not rep:
-        raise AssertionError(f"not an embedding: {rep.witnesses[0]}")
-    if len(set(emb.map)) != emb.target.n:
-        raise EmbeddingNotOnto(
-            "a finite lattice is its own canonical extension")
+    return _extension(L, frame, L.downs)
 
 
 def cross_check_extensions(emb_t: LatticeEmbedding, emb_p: LatticeEmbedding):

@@ -68,7 +68,11 @@ def dual_graph(L: FiniteLattice) -> Graph:
     This empty-intersection form equals the pointwise order f(a) <= g(a)
     on the shared domain; the tests check the two against each other.
     """
-    pairs = maximal_pairs(L)
+    return _dual_graph(L, maximal_pairs(L))
+
+
+def _dual_graph(L: FiniteLattice, pairs: list[MaximalPair]) -> Graph:
+    """dual_graph(L), given pairs = maximal_pairs(L)."""
     names = tuple(f"p{i}" for i in range(len(pairs)))
     # up(x_f) meets down(y_g) iff x_f <= y_g; at_y[y] masks the g with
     # y_g = y, so f's non-successors are the at_y[y] over the y above x_f

@@ -1,9 +1,10 @@
 import pytest
 
 from tirs import fixtures
-from tirs.errors import IrreducibleMismatch
+from tirs.errors import EmbeddingNotOnto, IrreducibleMismatch
 from tirs.functors import rho
-from tirs.galois import (GaloisLattice, canext_polarity, canext_tandem,
+from tirs.galois import (GaloisLattice, _extension, canext_polarity,
+                         canext_tandem,
                          check_perfect, closed_sets, closure,
                          frame_of_perfect, galois_down, galois_up,
                          irreducibles_of_galois, jinfty_via_maximal_pairs)
@@ -162,3 +163,37 @@ class TestCanonicalExtension:
         assert jinfty_via_maximal_pairs(emb)
         emb2, _ = canext_polarity(L)
         assert jinfty_via_maximal_pairs(emb2)
+
+
+class TestExtensionBody:
+    """The body both constructions share refuses each planted fault with
+    its own error.  The polarity frame of C3 has the closed sets {F0},
+    {F0, F1} and {F0, F1, F2}, the masks 0b001, 0b011 and 0b111."""
+
+    def polarity_frame_of_c3(self):
+        return canext_polarity(fixtures.c3())[1].base_frame
+
+    def test_an_image_that_is_not_closed(self):
+        with pytest.raises(AssertionError) as err:
+            _extension(fixtures.c3(), self.polarity_frame_of_c3(),
+                       [0b001, 0b010, 0b111])  # {F1} closes to {F0, F1}
+        assert str(err.value) == "image of m is not a closed set"
+
+    def test_closed_images_that_are_not_an_embedding(self):
+        with pytest.raises(AssertionError) as err:
+            _extension(fixtures.c3(), self.polarity_frame_of_c3(),
+                       [0b001, 0b001, 0b111])
+        assert str(err.value) == ("not an embedding: Witness(condition="
+                                  "'injective', elements=())")
+
+    def test_an_embedding_that_is_not_onto(self):
+        with pytest.raises(EmbeddingNotOnto) as err:
+            _extension(fixtures.c2(), self.polarity_frame_of_c3(),
+                       [0b001, 0b111])
+        assert str(err.value) == \
+            "a finite lattice is its own canonical extension"
+
+    def test_the_polarity_images_give_the_public_embedding(self):
+        L = fixtures.n5()
+        emb, gl = canext_polarity(L)
+        assert (emb, gl) == _extension(L, gl.base_frame, L.downs)

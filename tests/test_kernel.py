@@ -14,7 +14,8 @@ from tirs.functors import (FrameMorphism, GraphMorphism, _is_frame_iso,
                            _is_graph_iso, _permutes, frame_iso, gr,
                            graph_iso, h_set, rho, validate_frame_morphism,
                            validate_graph_morphism)
-from tirs.galois import (_generation_failures, canext_polarity, closed_sets,
+from tirs.galois import (_close, _generation_failures, canext_polarity,
+                         closed_sets,
                          closure, frame_of_perfect, galois_down, galois_up)
 from tirs.galois import inclusion_lattice
 from tirs.generators import (GenSpec, _enumerate_strict_orders,
@@ -557,6 +558,21 @@ def test_errors_and_witnesses_match_on_all_relations():
 def test_lattice_families_match_the_set_kernels():
     for L in families():
         assert_lattice_kernels(L)
+
+
+def test_the_polarity_closure_of_a_point_is_its_down_set():
+    """canext_polarity sends a to the mask down(a), which is the Galois
+    closure of {F_a} in the polarity frame, on every lattice of families()
+    and of strict_orders()."""
+    lats = families()
+    for names, rel in strict_orders():
+        got = outcome(_finish_lattice, names, rel)
+        if not isinstance(got, tuple):
+            lats.append(got)
+    assert len(lats) > len(families())
+    for L in lats:
+        f = set_polarity_frame(L)
+        assert [_close(f, 1 << a) for a in range(L.n)] == list(L.downs)
 
 
 def test_lattice_iso_matches_the_set_search():

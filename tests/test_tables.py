@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from tirs import fixtures, galois, generators, lattice, pti, structures, suite
+from tirs import (fixtures, galois, generators, lattice, ploscica, pti,
+                  structures, suite)
 from tirs.functors import beta, rho
 from tirs.generators import GenSpec, gen_lattice
 from tirs.lattice import FiniteLattice, order_masks
@@ -209,3 +210,21 @@ def test_a_directly_built_lattice_derives_its_masks():
     assert (direct.ups, downs) == order_masks(direct.n, direct.leq)
     assert (direct.ups, direct.downs) == (L.ups, L.downs)
     assert direct.irreducible_masks == L.irreducible_masks
+
+
+def test_canext_tandem_finds_the_maximal_pairs_once(monkeypatch):
+    """The dual graph and the embedding of canext_tandem read one list of
+    maximal pairs."""
+    calls, find = [], ploscica.maximal_pairs
+
+    def counted(L):
+        calls.append(L)
+        return find(L)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "tirs" and \
+                getattr(module, "maximal_pairs", None) is find:
+            monkeypatch.setattr(module, "maximal_pairs", counted)
+    L = fixtures.m3()
+    galois.canext_tandem(L)
+    assert calls == [L]

@@ -19,7 +19,9 @@ task for seed 0 on that corpus built beforehand.  Each figure is the median
 over REPEAT runs, in milliseconds of time.process_time.  The stages share
 one fresh interpreter per run, and every generation or suite row has a
 fresh interpreter of its own, so no row runs on the heap another left; the
-two trees take turns.  Stdlib only.
+two trees take turns.  The output also records, and the tool prints, the
+line count of src/tirs/*.py in each tree, as `wc -l` counts it.  Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -165,6 +167,12 @@ def medians(runs: list[dict]) -> dict:
             for name in runs[0]}
 
 
+def src_lines(src: Path) -> int:
+    """The newlines in src/tirs/*.py, the total `wc -l` prints."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (src / "tirs").glob("*.py"))
+
+
 def git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -183,6 +191,7 @@ def main():
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
+        lines = {side: src_lines(src) for side, src in trees.items()}
         runs = {side: {row: [] for row in (None, *ROWS)} for side in trees}
         # the sides take turns, and who goes first alternates, so a drift
         # in machine speed reaches both
@@ -208,6 +217,7 @@ def main():
             "parent_src_tree": git("rev-parse", f"{args.parent}:src"),
             "change_src_tree": git("rev-parse", "HEAD:src")
             + (" + uncommitted changes" if dirty else "")},
+        "src_lines": lines,
         "repeat": REPEAT,
         "unit": "ms of time.process_time, median over the repeats, each "
                 "a fresh interpreter (one for the stages, one per "
@@ -220,6 +230,8 @@ def main():
               f"{r['change_ms']:>9.1f}")
     for r in gen_rows:
         print(f"{r['call']:<42} {r['parent_ms']:>9.1f} {r['change_ms']:>9.1f}")
+    print(f"{'src/tirs/*.py lines':<42} {lines['parent']:>9} "
+          f"{lines['change']:>9}")
 
 
 if __name__ == "__main__":
