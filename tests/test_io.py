@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tirs import fixtures
-from tirs.errors import UnsupportedKind
+from tirs.errors import InvalidInput, UnsupportedKind
 from tirs.functors import rho
 from tirs.galois import closed_sets
 from tirs.generators import GenSpec, gen_lattice
@@ -65,6 +65,71 @@ class TestRoundtrip:
     def test_morphism_payload_stays_raw(self):
         payload = {"map": [["a", "b"]]}
         assert parse_structure(payload) is payload
+
+
+class Names(list):
+    pass
+
+
+class Name(str):
+    pass
+
+
+EDGES_MSG = "edges must be a list of name pairs"
+R_MSG = "r must be a list of name pairs"
+# payload -> the message of the InvalidInput it raises; where a payload has
+# several faults, the one that wins
+PARSE_ERRORS = [
+    ({"vertices": ["a"], "edges": [("a", "a")]}, EDGES_MSG),
+    ({"vertices": ["a", "b"], "edges": ["ab"]}, EDGES_MSG),
+    ({"vertices": ["a"], "edges": [["a", "a", "a"]]}, EDGES_MSG),
+    ({"vertices": ["a"], "edges": [["a"]]}, EDGES_MSG),
+    ({"vertices": ["a"], "edges": [["a", 1]]}, EDGES_MSG),
+    ({"vertices": ["a"], "edges": [[["a"], "a"]]}, EDGES_MSG),
+    ({"vertices": ["a"], "edges": [["a", "b"]]},
+     "an edge references an unknown vertex"),
+    ({"vertices": ["a", "a"], "edges": [["a", 1]]}, EDGES_MSG),
+    ({"vertices": ["a", "a"], "edges": [["a", "b"]]},
+     "duplicate vertex names"),
+    ({"vertices": ["a"], "edges": [["a", 1]], "meta": []}, EDGES_MSG),
+    ({"vertices": ["a"], "edges": [["a", "b"]], "meta": []},
+     "meta must be an object"),
+    ({"vertices": ["a"], "edges": [], "meta": []}, "meta must be an object"),
+    ({"vertices": ["a"], "edges": [("a", "a")], "map": 1}, EDGES_MSG),
+    ({"vertices": ["a"], "edges": "aa"}, EDGES_MSG),
+    ({"vertices": [1], "edges": [("a", "a")]},
+     "vertices must be a list of strings"),
+    ({"x1": ["a"], "x2": ["b"], "r": [("a", "b")]}, R_MSG),
+    ({"x1": ["a"], "x2": ["b"], "r": [["b", "a"]]},
+     "a pair in r references an unknown point"),
+    ({"x1": [1], "x2": ["b"], "r": [["a"]]}, "x1 must be a list of strings"),
+    ({"x1": ["a", "a"], "x2": ["b"], "r": [["a", None]]}, R_MSG),
+    ({"x1": ["a"], "x2": ["b"], "r": [], "meta": "m"},
+     "meta must be an object"),
+    ({"elements": ["0", "1"], "covers": [("0", "1")]},
+     "covers must be a list of name pairs"),
+    ([], "a structure must be a JSON object"),
+    ({"elements": 5}, "elements must be a list of strings"),
+]
+
+
+class TestParseErrors:
+    """Which InvalidInput parse_structure raises, and on a payload with
+    several faults which one wins."""
+
+    @pytest.mark.parametrize("payload,message", PARSE_ERRORS)
+    def test_the_winning_error(self, payload, message):
+        with pytest.raises(InvalidInput) as err:
+            parse_structure(payload)
+        assert str(err.value) == message
+
+    def test_list_and_str_subclasses_are_read(self):
+        g = parse_structure({"vertices": ["a", Name("b")],
+                             "edges": [Names(["a", Name("b")]), ["b", "b"]]})
+        assert g == Graph(("a", "b"), {("a", "b"), ("b", "b")})
+        f = parse_structure({"x1": [Name("a")], "x2": ["b"],
+                             "r": Names([Names([Name("a"), "b"])])})
+        assert f == Frame(("a",), ("b",), {("a", "b")})
 
 
 # names with quotes, backslashes, control, non-ASCII and astral characters
