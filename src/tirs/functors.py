@@ -18,8 +18,8 @@ from typing import Optional
 from .errors import (HNotPreserved, InvalidInput, IsoVerificationFailed,
                      MismatchedCarrier, NotTiRS, NotWellDefined)
 from .lattice import CheckReport, Witness, mask_iso
-from .structures import (ConditionReport, Frame, Graph, _collect, _name_order,
-                         bits, check_frame, check_graph, h_set)
+from .structures import (ConditionReport, Frame, Graph, _collect, _walk, bits,
+                         check_frame, check_graph, h_set)
 
 
 @dataclass(frozen=True)
@@ -275,9 +275,10 @@ def validate_graph_morphism(m: GraphMorphism,
 
     def gen():
         vs = g.vertices
-        for a, b in _name_order(g.succ, vs, vs):
-            if not h.succ[img[a]] >> img[b] & 1:
-                yield Witness("i", (vs[a], vs[b]))
+        for a, bs in _walk(g.succ, vs, vs, range(len(vs))):
+            for b in bs:
+                if not h.succ[img[a]] >> img[b] & 1:
+                    yield Witness("i", (vs[a], vs[b]))
         for a, ia in enumerate(img):
             for b in bits(row_g[a] | col_g[a]):
                 if row_g[a] >> b & 1 and not row_h[ia] >> img[b] & 1:

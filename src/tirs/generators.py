@@ -112,15 +112,15 @@ def gen_poset(spec: GenSpec) -> list[Graph]:
             for _ in range(spec.count)]
 
 
-def _lattice_sets(g: Graph, distributive: bool) -> frozenset[int]:
+def _lattice_sets(g: Graph, distributive: bool, limit=None) -> frozenset[int]:
     """As masks, the sets whose inclusion lattice is the downset lattice of
     the poset graph g (unions of principal downsets), or else its
     Dedekind-MacNeille completion: the Galois-closed sets of the order
-    polarity (P, P, <=)."""
+    polarity (P, P, <=); cut short once there are more than limit."""
     if distributive:
-        return pairwise_closure({0, *g.pred}, int.__or__)
+        return pairwise_closure({0, *g.pred}, int.__or__, limit=limit)
     return pairwise_closure({(1 << len(g.vertices)) - 1, *g.pred},
-                            int.__and__)
+                            int.__and__, limit=limit)
 
 
 def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
@@ -160,7 +160,7 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
                 f"no {spec.kind} of size {spec.size} after {attempts} tries")
         base = max(1, spec.size - rng.randrange(0, 3))
         g = _poset_graph(base, _random_strict_order(base, rng))
-        family = _lattice_sets(g, spec.kind == "distributive-lattice")
+        family = _lattice_sets(g, spec.kind != "lattice", spec.size)
         if len(family) == spec.size:
             out.append(inclusion_lattice(family, g.vertices)[1])
     return out

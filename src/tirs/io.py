@@ -9,13 +9,14 @@ is by key shape: lattices carry "elements"/"covers", graphs
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _q
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import InvalidInput, UnsupportedKind
+from .errors import InvalidInput, TirsError, UnsupportedKind
 from .lattice import FiniteLattice, build_lattice
-from .structures import Frame, Graph
+from .structures import Frame, Graph, _walk
 
 
 def detect_kind(payload: dict) -> str:
@@ -33,38 +34,42 @@ def detect_kind(payload: dict) -> str:
                           f"{sorted(payload)}")
 
 
-def _check_payload(payload):
-    """Raise InvalidInput unless payload is an object whose name lists,
-    pair lists and meta, where present, have the JSON types read."""
+def _check_payload(payload, read=None):
+    """Raise InvalidInput unless payload is an object whose name lists, pair
+    lists and meta have the JSON types read; of read's pairs, only the type."""
     if not isinstance(payload, dict):
         raise InvalidInput("a structure must be a JSON object")
     for key in ("elements", "vertices", "x1", "x2"):
         v = payload.get(key, [])
-        if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+        if not isinstance(v, list) or not all(map(isinstance, v, repeat(str))):
             raise InvalidInput(f"{key} must be a list of strings")
     for key in ("covers", "edges", "r", "map", "map1", "map2"):
         v = payload.get(key, [])
-        if not isinstance(v, list) or not all(
-                isinstance(p, list) and len(p) == 2
-                and isinstance(p[0], str) and isinstance(p[1], str)
-                for p in v):
+        if v != [] and not (  # an absent key makes no scan
+                isinstance(v, list) and all(map(isinstance, v, repeat(list)))
+                and (key == read or set(map(len, v)) <= {2} and all(map(
+                    isinstance, chain.from_iterable(v), repeat(str))))):
             raise InvalidInput(f"{key} must be a list of name pairs")
     if not isinstance(payload.get("meta", {}), dict):
         raise InvalidInput("meta must be an object")
 
 
 def parse_structure(payload: dict):
-    _check_payload(payload)
-    kind = detect_kind(payload)
-    if kind == "lattice":
-        return build_lattice(payload["elements"],
-                             [tuple(p) for p in payload["covers"]])
-    if kind == "graph":
-        return Graph(payload["vertices"], payload["edges"],
-                     payload.get("meta", {}))
-    if kind == "frame":
-        return Frame(payload["x1"], payload["x2"], payload["r"],
-                     payload.get("meta", {}))
+    try:
+        kind = detect_kind(payload)
+        _check_payload(payload, {"graph": "edges", "frame": "r"}.get(kind))
+        if kind == "lattice":
+            return build_lattice(payload["elements"],
+                                 [tuple(p) for p in payload["covers"]])
+        if kind == "graph":
+            return Graph(payload["vertices"], payload["edges"],
+                         payload.get("meta", {}))
+        if kind == "frame":
+            return Frame(payload["x1"], payload["x2"], payload["r"],
+                         payload.get("meta", {}))
+    except (TirsError, TypeError, ValueError):
+        _check_payload(payload)  # with every pair checked: its error wins
+        raise
     return payload  # morphisms stay raw; they need source/target context
 
 
@@ -103,7 +108,21 @@ def _dumps(v, pad: str = "") -> str:
 
 
 def dump_structure(obj) -> str:
-    return _dumps(obj.to_json())
+    """_dumps(obj.to_json()), a relation written from its masks."""
+    if not isinstance(obj, (Graph, Frame)):
+        return _dumps(obj.to_json())
+    lists, key, rows, names1, names2 = obj._json_parts()
+    right = [f"{_q(b)}\n    ]" for b in names2]
+    # each name is quoted once, and the pairs of a row are one join
+    items = [(left := f"[\n      {_q(names1[i])},\n      ")
+             + (",\n    " + left).join(picked)
+             for i, picked in _walk(rows, names1, names2, right)]
+    texts = {k: _dumps(list(v), "  ") for k, v in lists.items()}
+    texts[key] = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    if obj.meta:
+        texts["meta"] = _dumps(obj.meta, "  ")
+    body = ",\n  ".join([f"{_q(k)}: {texts[k]}" for k in sorted(texts)])
+    return f"{{\n  {body}\n}}"
 
 
 def save_structure(obj, path):
@@ -119,13 +138,11 @@ def export_dot(obj, include_loops: bool = False) -> str:
     frames as bipartite digraphs with R edges.  Lattices are rejected; use
     hasse_dot for the cover digraph."""
     if isinstance(obj, Graph):
-        lines = ["digraph G {"]
-        for v in obj.vertices:
-            lines.append(f"  {_quote(v)};")
-        for a, b in obj.to_json()["edges"]:
-            if a == b and not include_loops:
-                continue
-            lines.append(f"  {_quote(a)} -> {_quote(b)};")
+        vs = obj.vertices
+        lines = ["digraph G {", *[f"  {_quote(v)};" for v in vs]]
+        lines += [f"  {_quote(vs[i])} -> {_quote(b)};"
+                  for i, bs in _walk(obj.succ, vs, vs, vs) for b in bs
+                  if b != vs[i] or include_loops]
         lines.append("}")
         return "\n".join(lines)
     if isinstance(obj, Frame):
@@ -134,8 +151,9 @@ def export_dot(obj, include_loops: bool = False) -> str:
             lines.append(f"  {_quote('1:' + x)} [shape=box];")
         for y in obj.x2:
             lines.append(f"  {_quote('2:' + y)} [shape=ellipse];")
-        for a, b in obj.to_json()["r"]:
-            lines.append(f"  {_quote('1:' + a)} -> {_quote('2:' + b)};")
+        lines += [f"  {_quote('1:' + obj.x1[i])} -> {_quote('2:' + y)};"
+                  for i, ys in _walk(obj.rows, obj.x1, obj.x2, obj.x2)
+                  for y in ys]
         lines.append("}")
         return "\n".join(lines)
     if isinstance(obj, FiniteLattice):

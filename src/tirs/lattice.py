@@ -345,12 +345,12 @@ def filters_ideals(L: FiniteLattice):
     return filters, ideals
 
 
-def pairwise_closure(base, *ops) -> frozenset:
+def pairwise_closure(base, *ops, limit=None) -> frozenset:
     """Close a set under commutative binary operations: add op(a, b) for
-    every pair of members and every op until nothing new appears."""
+    all members and ops until none is new or there are more than limit."""
     out = set(base)
     todo = list(out)
-    while todo:
+    while todo and (limit is None or len(out) <= limit):
         a = todo.pop()
         for b in list(out):
             for op in ops:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateLattice, MismatchedCarrier
 from .lattice import FiniteLattice, bits
-from .structures import Graph, subset
+from .structures import Graph, _names, subset
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,9 @@ def _dual_graph(L: FiniteLattice, pairs: list[MaximalPair]) -> Graph:
     for j, p in enumerate(pairs):
         at_y[p.y] |= 1 << j
     full = (1 << len(pairs)) - 1
-    meta = {names[i]: {"ones": p.ones_names(), "zeros": p.zeros_names()}
+    ones, zeros = ([sorted(_names(m, L.elements)) for m in masks]
+                   for masks in (L.ups, L.downs))
+    meta = {names[i]: {"ones": ones[p.x][:], "zeros": zeros[p.y][:]}
             for i, p in enumerate(pairs)}
     return Graph._from_masks(
         names, [full & ~sum(at_y[y] for y in bits(L.ups[p.x])) for p in pairs],

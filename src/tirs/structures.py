@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import InvalidInput
 from .lattice import CheckReport, Witness, bits
@@ -38,9 +39,10 @@ def _index(names, duplicate: str) -> dict[str, int]:
 def _relation(index1, index2, pairs, unknown: str) -> list[int]:
     """The row masks (over index2) of a relation given as name pairs."""
     rows = [0] * len(index1)
+    bit = {b: 1 << j for b, j in index2.items()}
     try:
         for a, b in pairs:
-            rows[index1[a]] |= 1 << index2[b]
+            rows[index1[a]] |= bit[b]
     except KeyError:
         raise InvalidInput(unknown) from None
     return rows
@@ -60,17 +62,46 @@ def _transpose(rows, width: int) -> tuple[int, ...]:
     return tuple(int("".join(col)[::-1], 2) for col in zip(*digits))
 
 
-def _name_order(rows, names1, names2) -> list[tuple[int, int]]:
-    """The index pairs (i, j) with bit j of rows[i] set, ordered by
-    (names1[i], names2[j]): the order of the sorted name pairs."""
-    rank1 = sorted(range(len(names1)), key=names1.__getitem__)
-    rank2 = sorted(range(len(names2)), key=names2.__getitem__)
-    return [(i, j) for i in rank1 if rows[i] for j in rank2
-            if rows[i] >> j & 1]
+def _walk(rows, names1, names2, cols):
+    """Yield (i, picked) per non-empty rows[i] in the order of names1, picked
+    giving cols[j] per set bit j in the order of names2: sorted pair order."""
+    rank = sorted(range(len(names2)), key=names2.__getitem__)
+    # bit j is byte len - 1 - j of a row's bit string; index 0 keeps a tuple
+    pick = itemgetter(*[len(rank) - 1 - j for j in rank], 0)
+    cols, digits = [cols[j] for j in rank], bytes.maketrans(b"01", b"\0\1")
+    for i in sorted(range(len(names1)), key=names1.__getitem__):
+        if rows[i]:
+            yield i, itertools.compress(cols, pick(format(
+                rows[i], f"0{len(rank)}b").encode().translate(digits)))
+
+
+class _Relational:
+    """Construction from masks, the name-pair view and the JSON form of the
+    relation _json_parts gives: (name lists, key, rows, names1, names2)."""
+
+    @classmethod
+    def _from_masks(cls, *args):
+        obj = object.__new__(cls)
+        obj._init(*args)
+        return obj
+
+    def _name_pairs(self) -> frozenset[tuple[str, str]]:
+        _, _, rows, names1, names2 = self._json_parts()
+        return frozenset((names1[i], names2[j]) for i, row in enumerate(rows)
+                         for j in bits(row))
+
+    def to_json(self) -> dict:
+        lists, key, rows, names1, names2 = self._json_parts()
+        d = {k: list(v) for k, v in lists.items()}
+        d[key] = [[names1[i], b] for i, bs in _walk(rows, names1, names2,
+                                                    names2) for b in bs]
+        if self.meta:
+            d["meta"] = {k: v for k, v in sorted(self.meta.items())}
+        return d
 
 
 @dataclass(frozen=True, init=False)
-class Graph:
+class Graph(_Relational):
     """Vertices and the relation E, held as index masks: succ[i] has bit j
     set, and pred[j] bit i, iff (v_i, v_j) is an edge; index maps each
     vertex to its position.  Graph(vertices, edges, meta) reads name pairs
@@ -87,12 +118,6 @@ class Graph:
     def __init__(self, vertices, edges, meta=None):
         self._init(vertices, None, meta, edges)
 
-    @classmethod
-    def _from_masks(cls, vertices, succ, meta=None):
-        g = object.__new__(cls)
-        g._init(vertices, succ, meta)
-        return g
-
     def _init(self, vertices, succ, meta=None, edges=None):
         index = _index(vertices, "duplicate vertex names")
         succ = tuple(succ if edges is None else _relation(
@@ -101,11 +126,7 @@ class Graph:
                           meta={} if meta is None else meta, index=index,
                           pred=_transpose(succ, len(vertices)))
 
-    @cached_property
-    def edges(self) -> frozenset[tuple[str, str]]:
-        vs = self.vertices
-        return frozenset((vs[i], vs[j]) for i, row in enumerate(self.succ)
-                         for j in bits(row))
+    edges = cached_property(_Relational._name_pairs)
 
     @cached_property
     def supersets(self) -> tuple[list[int], list[int]]:
@@ -124,17 +145,13 @@ class Graph:
         i, j = self.index.get(a), self.index.get(b)
         return i is not None and j is not None and self.succ[i] >> j & 1 == 1
 
-    def to_json(self) -> dict:
+    def _json_parts(self):
         vs = self.vertices
-        d = {"vertices": list(vs), "edges": [
-            [vs[i], vs[j]] for i, j in _name_order(self.succ, vs, vs)]}
-        if self.meta:
-            d["meta"] = {k: v for k, v in sorted(self.meta.items())}
-        return d
+        return {"vertices": vs}, "edges", self.succ, vs, vs
 
 
 @dataclass(frozen=True, init=False)
-class Frame:
+class Frame(_Relational):
     """Carriers X1, X2 and R between them, held as index masks: rows[i] is
     the mask over X2 of the row of x1[i], cols[j] the mask over X1 of the
     column of x2[j]; index1 and index2 map each point to its position.
@@ -150,12 +167,6 @@ class Frame:
     def __init__(self, x1, x2, r, meta=None):
         self._init(x1, x2, None, meta, r)
 
-    @classmethod
-    def _from_masks(cls, x1, x2, rows, meta=None):
-        f = object.__new__(cls)
-        f._init(x1, x2, rows, meta)
-        return f
-
     def _init(self, x1, x2, rows, meta=None, r=None):
         duplicate = "duplicate point names within x1 or x2"
         index1, index2 = _index(x1, duplicate), _index(x2, duplicate)
@@ -165,10 +176,7 @@ class Frame:
                           meta={} if meta is None else meta, index1=index1,
                           index2=index2, cols=_transpose(rows, len(x2)))
 
-    @cached_property
-    def r(self) -> frozenset[tuple[str, str]]:
-        return frozenset((self.x1[i], self.x2[j])
-                         for i, row in enumerate(self.rows) for j in bits(row))
+    r = cached_property(_Relational._name_pairs)
 
     @cached_property
     def table(self) -> _HTable:
@@ -186,13 +194,8 @@ class Frame:
         i, j = self.index1.get(x), self.index2.get(y)
         return i is not None and j is not None and self.rows[i] >> j & 1 == 1
 
-    def to_json(self) -> dict:
-        x1, x2 = self.x1, self.x2
-        d = {"x1": list(x1), "x2": list(x2), "r": [
-            [x1[i], x2[j]] for i, j in _name_order(self.rows, x1, x2)]}
-        if self.meta:
-            d["meta"] = {k: v for k, v in sorted(self.meta.items())}
-        return d
+    def _json_parts(self):
+        return {"x1": self.x1, "x2": self.x2}, "r", self.rows, self.x1, self.x2
 
 
 @dataclass(frozen=True)
@@ -377,7 +380,8 @@ def is_poset_graph(g: Graph, all_witnesses: bool = False) -> CheckReport:
     """True iff E is reflexive, transitive and antisymmetric (the Birkhoff
     special case: dual graphs of distributive lattices are posets)."""
     vs, succ = g.vertices, g.succ
-    edges = _name_order(succ, vs, vs)
+    edges = [(x, y) for x, ys in _walk(succ, vs, vs, range(len(vs)))
+             for y in ys]
 
     def gen():
         for i, x in enumerate(vs):

@@ -53,6 +53,17 @@ class TestLattices:
                                      count=5)):
             assert is_distributive(L)
 
+    def test_a_family_past_the_size_stops_closing(self):
+        """A random family of more than size sets is dropped, so its closure
+        stops once it is past the size: of the 256 downsets of an antichain
+        of 8 points, a closure capped at 12 builds few."""
+        from tirs.generators import _lattice_sets, _poset_graph
+        g = _poset_graph(8, set())
+        assert len(_lattice_sets(g, True)) == 256
+        assert len(_lattice_sets(g, True, 256)) == 256
+        assert 12 < len(_lattice_sets(g, True, 12)) < 32
+        assert len(_lattice_sets(g, False, 12)) == 10
+
     def test_two_antichain_downsets_give_b2(self):
         from tirs.generators import _lattice_sets, _poset_graph
         g = _poset_graph(2, set())

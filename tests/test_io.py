@@ -201,6 +201,69 @@ class TestWriter:
         _dumps([obj.to_json() for obj in objs])
         assert calls == [[], []]
 
+    def assert_dumps_alike(self, obj, pairs):
+        """dump_structure(obj) is json.dumps of its to_json, whose pairs
+        are the name pairs of the relation, sorted."""
+        assert dumps_or_error(dump_structure, obj) == dumps_or_error(
+            json_dump_structure, obj)
+        assert obj.to_json()[pairs] == sorted(
+            map(list, obj.edges if pairs == "edges" else obj.r))
+
+    def test_graphs_and_frames_dump_alike(self):
+        """Empty carriers and relations, one vertex or point, names that
+        need escapes or sort apart from their index, meta or none."""
+        odd = ('"q', "b\\", "new\nline", "é", "v10", "v2", " ")
+        full = {(a, b) for a in odd for b in odd if a <= b}
+        meta = {"m": [1, {"k": "é\n"}], "a": "b"}
+        graphs = [Graph((), ()), Graph(("a",), ()),
+                  Graph(("a",), {("a", "a")}), Graph(("a", "b"), ()),
+                  Graph(odd, full),
+                  Graph(odd, full, meta),
+                  Graph(("v2", "v10", "v1"), {("v2", "v10"), ("v10", "v1"),
+                                              ("v1", "v1"), ("v2", "v1")})]
+        frames = [Frame((), (), ()), Frame((), ("a",), ()),
+                  Frame(("a",), (), ()), Frame(("a",), ("b",), ()),
+                  Frame(("a",), ("b",), {("a", "b")}, meta),
+                  Frame(odd, odd[::-1], full),
+                  Frame(("v2", "v10"), ("y10", "y9"),
+                        {("v2", "y9"), ("v10", "y10"), ("v10", "y9")})]
+        for g in graphs:
+            self.assert_dumps_alike(g, "edges")
+        for f in frames:
+            self.assert_dumps_alike(f, "r")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(NAMES, unique=True, max_size=14),
+           st.lists(NAMES, unique=True, max_size=14), st.data())
+    def test_random_relations_dump_alike(self, names1, names2, data):
+        meta = data.draw(st.none() | st.dictionaries(NAMES, META, max_size=2))
+        for rows, cols, kind in ((names1, names1, Graph),
+                                 (names1, names2, Frame)):
+            cells = [(a, b) for a in rows for b in cols]
+            mask = data.draw(st.integers(0, 2 ** len(cells) - 1))
+            rel = {c for k, c in enumerate(cells) if mask >> k & 1}
+            if kind is Graph:
+                self.assert_dumps_alike(Graph(rows, rel, meta), "edges")
+            else:
+                self.assert_dumps_alike(Frame(rows, cols, rel, meta), "r")
+
+    def test_structures_dump_from_their_masks(self, monkeypatch):
+        """dump_structure and export_dot read a graph's or a frame's masks:
+        neither builds its to_json dict or its name-pair view."""
+        made = [dual_graph(fixtures.n5()), rho(dual_graph(fixtures.n5()))]
+        want = [json_dump_structure(x) for x in made]
+        dots = [export_dot(x) for x in made]
+        fresh = [dual_graph(fixtures.n5()), rho(dual_graph(fixtures.n5()))]
+
+        def refuse(obj):
+            raise AssertionError(f"{type(obj).__name__} built its pairs")
+
+        for cls, view in ((Graph, "edges"), (Frame, "r")):
+            monkeypatch.setattr(cls, "to_json", refuse)
+            monkeypatch.setattr(cls, view, property(refuse))
+        assert [dump_structure(x) for x in fresh] == want
+        assert [export_dot(x) for x in fresh] == dots
+
 
 class TestDot:
     def test_graph_loops_suppressed(self):

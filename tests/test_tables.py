@@ -228,3 +228,26 @@ def test_canext_tandem_finds_the_maximal_pairs_once(monkeypatch):
     L = fixtures.m3()
     galois.canext_tandem(L)
     assert calls == [L]
+
+
+def test_dual_graph_sorts_each_elements_names_once(monkeypatch):
+    """The meta of a dual-graph vertex holds its pair's sorted ones and
+    zeros names.  They are sorted once per element, not once per maximal
+    pair, and no two vertices share a list."""
+    calls = Counter()
+    for attr in ("ones_names", "zeros_names"):
+        method = getattr(ploscica.MaximalPair, attr)
+
+        def counted(p, method=method, attr=attr):
+            calls[attr] += 1
+            return method(p)
+
+        monkeypatch.setattr(ploscica.MaximalPair, attr, counted)
+    L = fixtures.m3()  # each x and each y is in two maximal pairs
+    pairs = ploscica.maximal_pairs(L)
+    g = dual_graph(L)
+    assert not calls
+    assert g.meta == {v: {"ones": p.ones_names(), "zeros": p.zeros_names()}
+                      for v, p in zip(g.vertices, pairs)}
+    lists = [m[k] for m in g.meta.values() for k in ("ones", "zeros")]
+    assert len({id(x) for x in lists}) == len(lists) == 2 * len(pairs)
