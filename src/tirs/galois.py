@@ -15,7 +15,7 @@ from .errors import (EmbeddingNotOnto, InvalidInput, IrreducibleMismatch,
                      NotPerfect)
 from .lattice import (CheckReport, FiniteLattice, LatticeEmbedding, Witness,
                       _finish_lattice, bits, irreducibles, pairwise_closure)
-from .ploscica import _dual_graph, maximal_pairs
+from .ploscica import _generators, dual_graph
 from .structures import Frame, _meet, _names, subset
 from .functors import rho
 
@@ -179,14 +179,13 @@ def canext_tandem(L: FiniteLattice):
     onto bounded-lattice embedding; density follows from onto, and
     compactness holds in the finite case, so neither is checked.
     """
-    pairs = maximal_pairs(L)
-    g = _dual_graph(L, pairs)
+    g = dual_graph(L)
     f = rho(g)
     cls1 = f.meta["class1"]
-    # g's vertices are the maximal pairs, in maximal_pairs order
+    # g's vertices are the maximal pairs (up x, down y), in table order
     images = [0] * L.n
-    for v, p in zip(g.vertices, pairs):
-        for a in bits(L.ups[p.x]):
+    for v, (x, _) in zip(g.vertices, _generators(L)):
+        for a in bits(L.ups[x]):
             images[a] |= 1 << f.index1[cls1[v]]
     return _extension(L, f, images)
 
@@ -226,11 +225,11 @@ def jinfty_via_maximal_pairs(emb: LatticeEmbedding) -> CheckReport:
     meet-irreducibles), and that irreducibles generate everything."""
     L, C = emb.source, emb.target
     j, m = irreducibles(C)
-    meets = set()
-    joins = set()
-    for p in maximal_pairs(L):
-        meets.add(C.name(C.meet_of(emb.apply(a) for a in p.ones)))
-        joins.add(C.name(C.join_of(emb.apply(a) for a in p.zeros)))
+    meets, joins = set(), set()
+    for x, row in enumerate(L.maximal_masks):
+        for y in bits(row):
+            meets.add(C.name(C.meet_of(map(emb.apply, bits(L.ups[x])))))
+            joins.add(C.name(C.join_of(map(emb.apply, bits(L.downs[y])))))
     bad = []
     if meets != j:
         bad.append(Witness("jinfty", tuple(sorted(meets ^ j))))

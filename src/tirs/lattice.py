@@ -57,7 +57,8 @@ class FiniteLattice:
     closed.  ``join``/``meet`` are full binary tables indexed by element
     index.  Derived tables are cached properties, not fields: ups[a] has
     bit b set iff a <= b, downs[b] is the transpose, _index maps names to
-    indices and irreducible_masks holds the irreducibles.
+    indices, irreducible_masks holds the irreducibles and maximal_masks
+    the maximal pairs.
     """
 
     elements: tuple[str, ...]
@@ -87,6 +88,15 @@ class FiniteLattice:
         n = range(self.n)
         return (sum(1 << a for a in n if len(self.lower_covers(a)) == 1),
                 sum(1 << a for a in n if len(self.upper_covers(a)) == 1))
+
+    @cached_property
+    def maximal_masks(self) -> tuple[int, ...]:
+        """Bit y of row x is set iff (up x, down y) is a maximal disjoint
+        filter-ideal pair: x is minimal outside down y, and y maximal
+        outside up x."""
+        ups, downs, n = self.ups, self.downs, range(self.n)
+        return tuple(sum(1 << y for y in n if downs[x] & ~downs[y] == 1 << x
+                         and ups[y] & ~ups[x] == 1 << y) for x in n)
 
     # -- element access -------------------------------------------------
 

@@ -3,7 +3,7 @@
 A maximal pair is a maximal partial homomorphism into the two-element
 lattice: a filter F and an ideal I, disjoint, neither enlargeable without
 breaking disjointness.  In a finite lattice all filters and ideals are
-principal, so the search runs over generator pairs (x, y).
+principal, so the pairs are the (x, y) of FiniteLattice.maximal_masks.
 """
 
 from __future__ import annotations
@@ -38,18 +38,16 @@ class MaximalPair:
 
 
 def maximal_pairs(L: FiniteLattice) -> list[MaximalPair]:
-    """All maximal disjoint filter-ideal pairs, sorted by (x, y) index.
+    """All maximal disjoint filter-ideal pairs, sorted by (x, y) index: the
+    set bits of L.maximal_masks."""
+    return [MaximalPair(L, x, y) for x, y in _generators(L)]
 
-    (up x, down y) is maximal iff x is not below y, every x' < x lies below
-    y, and every y' > y lies above x.
-    """
+
+def _generators(L: FiniteLattice) -> list[tuple[int, int]]:
+    """The (x, y) of the maximal pairs (up x, down y), sorted."""
     if L.n < 2:
         raise DegenerateLattice("need at least two elements")
-    ups, downs = L.ups, L.downs
-    return [MaximalPair(L, x, y) for x in range(L.n) for y in range(L.n)
-            if not ups[x] >> y & 1
-            and subset(downs[x] & ~(1 << x), downs[y])
-            and subset(ups[y] & ~(1 << y), ups[x])]
+    return [(x, y) for x, row in enumerate(L.maximal_masks) for y in bits(row)]
 
 
 def mph_leq(f: MaximalPair, g: MaximalPair) -> bool:
@@ -68,22 +66,17 @@ def dual_graph(L: FiniteLattice) -> Graph:
     This empty-intersection form equals the pointwise order f(a) <= g(a)
     on the shared domain; the tests check the two against each other.
     """
-    return _dual_graph(L, maximal_pairs(L))
-
-
-def _dual_graph(L: FiniteLattice, pairs: list[MaximalPair]) -> Graph:
-    """dual_graph(L), given pairs = maximal_pairs(L)."""
+    pairs = _generators(L)
     names = tuple(f"p{i}" for i in range(len(pairs)))
     # up(x_f) meets down(y_g) iff x_f <= y_g; at_y[y] masks the g with
     # y_g = y, so f's non-successors are the at_y[y] over the y above x_f
     at_y = [0] * L.n
-    for j, p in enumerate(pairs):
-        at_y[p.y] |= 1 << j
+    for j, (_, y) in enumerate(pairs):
+        at_y[y] |= 1 << j
     full = (1 << len(pairs)) - 1
+    rows = [full & ~sum(at_y[y] for y in bits(up)) for up in L.ups]  # by x_f
     ones, zeros = ([sorted(_names(m, L.elements)) for m in masks]
                    for masks in (L.ups, L.downs))
-    meta = {names[i]: {"ones": ones[p.x][:], "zeros": zeros[p.y][:]}
-            for i, p in enumerate(pairs)}
-    return Graph._from_masks(
-        names, [full & ~sum(at_y[y] for y in bits(L.ups[p.x])) for p in pairs],
-        meta)
+    meta = {name: {"ones": ones[x][:], "zeros": zeros[y][:]}
+            for name, (x, y) in zip(names, pairs)}
+    return Graph._from_masks(names, [rows[x] for x, _ in pairs], meta)

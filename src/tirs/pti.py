@@ -3,7 +3,7 @@ the bridge suite tying the two together through the closed-set lattice.
 
 PTi asks that every pair (x, y) of a join-irreducible x and a
 meet-irreducible y with x not below y lies below a maximal disjoint pair
-(up w, down z) of ploscica.maximal_pairs: w <= x and y <= z.  In a finite
+(up w, down z), bit z of maximal_masks[w]: w <= x and y <= z.  In a finite
 lattice w and z are irreducible (were w the join of two elements below it,
 both would lie below z, and so would w), and as every element is a join of
 join-irreducibles and a meet of meet-irreducibles, maximality over the
@@ -23,7 +23,6 @@ from .lattice import CheckReport, FiniteLattice, Witness, bits
 from .structures import Frame, _collect, check_frame, ti_failures
 from .galois import check_perfect, closed_sets, frame_of_perfect
 from .functors import frame_iso
-from .ploscica import maximal_pairs
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,9 @@ class PTiWitness:
 
 
 def _pti_pairs(C: FiniteLattice, all_witnesses: bool):
-    ups, downs = C.ups, C.downs
+    # maximal[w] masks the z of the maximal pairs (up w, down z)
+    ups, downs, maximal = C.ups, C.downs, C.maximal_masks
     jmask, mmask = C.irreducible_masks
-    maximal = [0] * C.n  # the z of the maximal pairs (up w, down z), by w
-    for p in maximal_pairs(C) if C.n > 1 else ():  # none on one element
-        maximal[p.x] |= 1 << p.y
     witnesses = []
     failures = []
     for x in bits(jmask):

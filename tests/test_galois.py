@@ -8,8 +8,9 @@ from tirs.galois import (GaloisLattice, _extension, canext_polarity,
                          check_perfect, closed_sets, closure,
                          frame_of_perfect, galois_down, galois_up,
                          irreducibles_of_galois, jinfty_via_maximal_pairs)
-from tirs.lattice import is_distributive, lattice_iso
+from tirs.lattice import build_lattice, is_distributive, lattice_iso
 from tirs.ploscica import dual_graph
+from tirs.pti import check_pti
 from tirs.structures import Frame
 
 from oracles import brute_closed_sets
@@ -163,6 +164,14 @@ class TestCanonicalExtension:
         assert jinfty_via_maximal_pairs(emb)
         emb2, _ = canext_polarity(L)
         assert jinfty_via_maximal_pairs(emb2)
+
+    def test_jinfty_on_one_element(self):
+        """The polarity extension of the one-element lattice has no
+        irreducibles and no maximal pairs, so the check passes there, as
+        check_pti does."""
+        emb, gl = canext_polarity(build_lattice(["x"], []))
+        assert check_pti(gl.as_lattice)[0]
+        assert jinfty_via_maximal_pairs(emb)
 
 
 class TestExtensionBody:

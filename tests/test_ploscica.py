@@ -2,10 +2,12 @@ import pytest
 
 from tirs import fixtures
 from tirs.errors import DegenerateLattice, MismatchedCarrier
+from tirs.functors import gr
+from tirs.galois import frame_of_perfect
 from tirs.generators import GenSpec, gen_lattice
 from tirs.lattice import build_lattice
 from tirs.ploscica import dual_graph, maximal_pairs, mph_leq
-from tirs.structures import check_graph
+from tirs.structures import check_graph, h_set
 
 from oracles import brute_maximal_pairs, pointwise_dual_edges
 
@@ -90,6 +92,23 @@ class TestDualGraph:
     def test_vertex_metadata_carries_the_pair(self):
         g = dual_graph(fixtures.n5())
         assert g.meta["p0"] == {"ones": ["1", "a", "c"], "zeros": ["0", "b"]}
+
+
+class TestFrameCorrespondence:
+    def test_maximal_pairs_are_the_h_pairs_of_the_frame(self):
+        """The maximal pairs (up x, down y) of L are the H-pairs (x, y) of
+        its frame (J(L), M(L), <=), in the same order, and the dual graph
+        of L is gr of that frame, edge for edge."""
+        lats = [L for size in range(2, 8) for L in
+                gen_lattice(GenSpec("lattice", size, exhaustive=True))]
+        lats += [m_n(n) for n in range(3, 13)]
+        lats += gen_lattice(GenSpec("lattice", 9, seed=9, count=20))
+        assert len(lats) == 107
+        for L in lats:
+            f = frame_of_perfect(L)
+            assert [(p.x, p.y) for p in maximal_pairs(L)] == \
+                [(L.index(x), L.index(y)) for x, y in h_set(f)]
+            assert dual_graph(L).succ == gr(f).succ
 
 
 class TestMphOrder:

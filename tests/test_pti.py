@@ -38,12 +38,17 @@ class TestLatticeForm:
         assert {(w.x, w.y) for w in wits} == \
             {(x, y) for x in "abc" for y in "abc" if x != y}
 
-    def test_witnesses_are_the_lattice_maximal_pairs(self, monkeypatch):
-        """PTi reads ploscica.maximal_pairs: with M3's first pair (up a,
-        down b) gone, exactly the pair (a, b) it alone covers fails."""
-        monkeypatch.setattr(pti, "maximal_pairs",
-                            lambda L: maximal_pairs(L)[1:])
-        rep, wits = check_pti(fixtures.m3(), all_witnesses=True)
+    def test_witnesses_are_the_lattice_maximal_pairs(self):
+        """PTi reads the lattice's maximal-pair table: with M3's first pair
+        (up a, down b) cleared from it, exactly the pair (a, b) it alone
+        covers fails."""
+        L = fixtures.m3()
+        first = maximal_pairs(L)[0]
+        assert (L.name(first.x), L.name(first.y)) == ("a", "b")
+        table = list(L.maximal_masks)
+        table[first.x] &= ~(1 << first.y)
+        vars(L)["maximal_masks"] = tuple(table)
+        rep, wits = check_pti(L, all_witnesses=True)
         assert [w.elements for w in rep.witnesses] == [("a", "b")]
         assert [(w.x, w.y) for w in wits
                 if w.status == "unsatisfiable-pair"] == [("a", "b")]

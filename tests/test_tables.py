@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from tirs import (fixtures, galois, generators, lattice, ploscica, pti,
-                  structures, suite)
+from tirs import (fixtures, galois, generators, io, lattice, ploscica,
+                  pti, structures, suite)
 from tirs.functors import beta, rho
 from tirs.generators import GenSpec, gen_lattice
 from tirs.lattice import FiniteLattice, order_masks
@@ -36,19 +36,21 @@ class Builds:
         self._alive = []
         # the H-table per frame, one inclusion table per mask tuple (two per
         # graph or frame), the order masks per leq relation (build_lattice's
-        # transitive closure counts its own relation), the irreducibles per
-        # lattice
+        # transitive closure counts its own relation), the irreducibles and
+        # the maximal pairs per lattice
         self._wrap(monkeypatch, structures._HTable, "__init__", "h-table",
                    lambda table, f: f)
         self._wrap(monkeypatch, structures, "_supersets", "supersets",
                    lambda masks: masks)
         self._wrap(monkeypatch, lattice, "order_masks", "order",
                    lambda n, pairs: pairs)
-        scan = vars(FiniteLattice)["irreducible_masks"].func
-        prop = functools.cached_property(self._counted(scan, "irreducibles",
-                                                       lambda L: L))
-        prop.__set_name__(FiniteLattice, "irreducible_masks")
-        monkeypatch.setattr(FiniteLattice, "irreducible_masks", prop)
+        for attr, table in (("irreducible_masks", "irreducibles"),
+                            ("maximal_masks", "maximal")):
+            scan = vars(FiniteLattice)[attr].func
+            prop = functools.cached_property(self._counted(scan, table,
+                                                           lambda L: L))
+            prop.__set_name__(FiniteLattice, attr)
+            monkeypatch.setattr(FiniteLattice, attr, prop)
 
     def _counted(self, fn, table, key):
         def counted(*args):
@@ -64,7 +66,7 @@ class Builds:
 
     def assert_once(self):
         assert {table for table, _ in self.counts} == {
-            "h-table", "supersets", "order", "irreducibles"}
+            "h-table", "supersets", "order", "irreducibles", "maximal"}
         twice = {k: n for k, n in self.counts.items() if n > 1}
         assert not twice
 
@@ -213,21 +215,58 @@ def test_a_directly_built_lattice_derives_its_masks():
 
 
 def test_canext_tandem_finds_the_maximal_pairs_once(monkeypatch):
-    """The dual graph and the embedding of canext_tandem read one list of
+    """The dual graph and the embedding of canext_tandem read one table of
     maximal pairs."""
-    calls, find = [], ploscica.maximal_pairs
-
-    def counted(L):
-        calls.append(L)
-        return find(L)
-
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "tirs" and \
-                getattr(module, "maximal_pairs", None) is find:
-            monkeypatch.setattr(module, "maximal_pairs", counted)
+    builds = Builds(monkeypatch)
     L = fixtures.m3()
     galois.canext_tandem(L)
-    assert calls == [L]
+    assert builds.counts["maximal", id(L)] == 1
+
+
+def test_the_maximal_pair_readers_build_one_table(monkeypatch):
+    """maximal_pairs, dual_graph, canext_tandem, check_pti and
+    jinfty_via_maximal_pairs on one lattice build its maximal-pair table
+    once, and only its own."""
+    builds = Builds(monkeypatch)
+    L = fixtures.n5()
+    ploscica.maximal_pairs(L)
+    dual_graph(L)
+    emb, _ = galois.canext_tandem(L)
+    assert pti.check_pti(L)[0]
+    assert galois.jinfty_via_maximal_pairs(emb)
+    assert [(k, n) for k, n in builds.counts.items() if k[0] == "maximal"] \
+        == [(("maximal", id(L)), 1)]
+
+
+def test_the_maximal_pair_table_is_invisible():
+    L = fixtures.n5()
+    seen = (L.to_json(), repr(L), hash(L), io.dump_structure(L))
+    assert L.maximal_masks == vars(L)["maximal_masks"]
+    fresh = FiniteLattice(L.elements, L.leq, L.join, L.meet, L.bot, L.top)
+    assert "maximal_masks" not in vars(fresh)
+    assert L == fresh
+    for x in (L, fresh):
+        assert (x.to_json(), repr(x), hash(x), io.dump_structure(x)) == seen
+
+
+def test_only_maximal_pairs_builds_pair_objects(monkeypatch):
+    """The other readers of the maximal pairs read the table, not
+    MaximalPair objects."""
+    built = []
+    init = ploscica.MaximalPair.__init__
+
+    def counted(p, *args):
+        built.append(args)
+        init(p, *args)
+
+    monkeypatch.setattr(ploscica.MaximalPair, "__init__", counted)
+    L = fixtures.n5()
+    dual_graph(L)
+    emb, _ = galois.canext_tandem(L)
+    pti.check_pti(L)
+    galois.jinfty_via_maximal_pairs(emb)
+    assert not built
+    assert len(ploscica.maximal_pairs(L)) == len(built) == 3
 
 
 def test_dual_graph_sorts_each_elements_names_once(monkeypatch):

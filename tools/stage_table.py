@@ -1,27 +1,29 @@
 """Per-stage CPU times of the duality pipeline on fixed lattices, and of
 structure generation, for two source trees side by side.
 
-    python3 tools/stage_table.py --parent REV --out BENCH_12.json
+    python3 tools/stage_table.py --parent REV --out BENCH_15.json
 
 The change column times the working tree (./src), the parent column a
 `git archive` of REV; the output names both by the git tree id of their
 src.  A stage is timed on inputs built fresh for it, so no cached table
-of an earlier stage is reused: dual_graph and the lattice stages get a
-fresh lattice, check_graph, rho, alpha and dump_structure a fresh dual
-graph, gr, beta and closed_sets a fresh rho frame, and parse_structure
-the parsed JSON text of a fresh dual graph.  The pipeline row times one
-pass of every stage but the two serialisation ones in order on one fresh
-lattice, so later stages do reuse what earlier ones cached.  The
+of an earlier stage is reused: maximal_pairs, dual_graph and the lattice
+stages get a fresh lattice, check_graph, rho, alpha and dump_structure a
+fresh dual graph, gr, beta and closed_sets a fresh rho frame, and
+parse_structure the parsed JSON text of a fresh dual graph.  The
+pipeline row times one pass of every stage but the two serialisation
+ones in order on one fresh lattice, maximal_pairs first as the
+benchmark's lattice jobs call it, so later stages do reuse what earlier
+ones cached (the lattice's maximal-pair table among them).  The
 generation rows time the GENERATION calls; a random row is one call for
 each of the seeds 0 to 9.  The suite rows build the suite's frame corpus
 (lattices included) at TIRS_SUITE_MAXSIZE=8, and run the pti-condition
-task for seed 0 on that corpus built beforehand.  Each figure is the median
-over REPEAT runs, in milliseconds of time.process_time.  The stages share
-one fresh interpreter per run, and every generation or suite row has a
-fresh interpreter of its own, so no row runs on the heap another left; the
-two trees take turns.  The output also records, and the tool prints, the
-line count of src/tirs/*.py in each tree, as `wc -l` counts it.  Stdlib
-only.
+task for seed 0 on that corpus built beforehand.  Each figure is the
+median over REPEAT runs, in milliseconds of time.process_time.  The
+stages share one fresh interpreter per run, and every generation or
+suite row has a fresh interpreter of its own, so no row runs on the heap
+another left; the two trees take turns.  The output also records, and
+the tool prints, the line count of src/tirs/*.py in each tree, as
+`wc -l` counts it.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LATTICES = ("C32", "M16", "M32")
-STAGES = ("dual_graph", "check_graph", "rho", "gr", "alpha", "beta",
-          "closed_sets", "canext_tandem", "canext_polarity", "check_pti",
-          "dump_structure", "parse_structure")
+STAGES = ("maximal_pairs", "dual_graph", "check_graph", "rho", "gr", "alpha",
+          "beta", "closed_sets", "canext_tandem", "canext_polarity",
+          "check_pti", "dump_structure", "parse_structure")
 REPEAT = 3  # fresh interpreters per tree
 # generation calls: name -> (kind, size, count, exhaustive)
 GENERATION = {
@@ -100,7 +102,7 @@ def measure():
     """{lattice: {stage: ms}}, one run, for the tirs on sys.path."""
     from tirs import (alpha, beta, build_lattice, canext_polarity,
                       canext_tandem, check_graph, check_pti, closed_sets,
-                      dual_graph, gr, rho)
+                      dual_graph, gr, maximal_pairs, rho)
     from tirs.io import dump_structure, parse_structure
 
     def lattice(name):
@@ -108,6 +110,7 @@ def measure():
 
     # stage -> (input builder from the lattice name, the timed call)
     stages = {
+        "maximal_pairs": (lattice, maximal_pairs),
         "dual_graph": (lattice, dual_graph),
         "check_graph": (lambda L: dual_graph(lattice(L)), check_graph),
         "rho": (lambda L: dual_graph(lattice(L)), rho),
@@ -125,6 +128,7 @@ def measure():
 
     def pipeline(name):
         L = lattice(name)
+        maximal_pairs(L)
         g = dual_graph(L)
         check_graph(g)
         f = rho(g)
