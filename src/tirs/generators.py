@@ -8,7 +8,12 @@ transitively closed.  Identical GenSpec values yield identical output.
 Generation works on int masks and builds a structure only once it is kept:
 a random lattice is sized on its family of sets before it is built, an RS
 frame is decided on its masks, and an exhaustive lattice of n elements is
-a poset class of n - 2 points between a bottom and a top.
+a poset class of n - 2 points between a bottom and a top.  Exhaustive
+poset classes grow by one-point extension: a new maximal point goes above
+each downset of each class one point smaller, and the candidates are
+deduped on a canonical labelling, the least pair mask over the natural
+labellings.  Exhaustive mode reaches 8 points for posets and TiRS graphs,
+10 elements for lattices and 3x3 for RS frames.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from typing import Optional
 from .errors import InvalidInput, NotALattice, SizeUnreachable
 from .galois import inclusion_lattice
 from .lattice import (FiniteLattice, _finish_lattice, bits, is_distributive,
-                      mask_iso, pairwise_closure, transitive_closure)
+                      pairwise_closure, transitive_closure)
 from .ploscica import dual_graph
 from .structures import Frame, Graph, _is_rs, _transpose
 
-EXHAUSTIVE_POSET_MAX = 5
+EXHAUSTIVE_POSET_MAX = 8
 EXHAUSTIVE_LATTICE_MAX = EXHAUSTIVE_POSET_MAX + 2
 EXHAUSTIVE_FRAME_MAX = 3
 
@@ -74,31 +79,61 @@ def _poset_graph(n: int, strict: set[tuple[int, int]]) -> Graph:
     return Graph._from_masks(tuple(f"v{i}" for i in range(n)), succ)
 
 
-def _enumerate_strict_orders(n: int):
-    """All transitively closed subsets of {(i, j) : i < j}.  Every finite
-    poset has a linear extension, so this hits every isomorphism class."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(2 ** len(pairs)):
-        rel = {p for k, p in enumerate(pairs) if mask >> k & 1}
-        if all((a, c) in rel
-               for (a, b) in rel for (b2, c) in rel if b2 == b):
-            yield rel
+def _canonical(ups, bit_lists) -> tuple[int, ...]:
+    """The least pair mask over the natural labellings of the poset with
+    strict up-set masks ups, as its rows (the labels above each label)
+    from label n - 1 down, so that tuple order is mask order.  Labels
+    n - 1, n - 2, ... go to maximal points of what is left, keeping every
+    choice whose row is least.  A state packs each unlabelled point's
+    labels so far in a field of n + 1 bits, and the unlabelled points above
+    the fields; equal states are kept once."""
+    n = len(ups)
+    width, low = n + 1, (1 << n) - 1
+    base = width * n
+    clear = [~(low << width * x | 1 << base + x) for x in range(n)]
+    spread = [0] * n  # bit 0 of the field of every point below x
+    for z, up in enumerate(ups):
+        for x in bit_lists[up]:
+            spread[x] |= 1 << width * z
+    states, rows = {low << base}, []
+    for k in range(n - 1, -1, -1):
+        best, kept = low, set()
+        for state in states:
+            left = state >> base
+            for x in bit_lists[left]:
+                if ups[x] & left:
+                    continue
+                row = state >> width * x & low
+                if row <= best:
+                    if row < best:
+                        best, kept = row, set()
+                    kept.add(state & clear[x] | spread[x] << k)
+        rows.append(best)
+        states = kept
+    return tuple(rows)
 
 
-def _poset_classes(n: int) -> list[Graph]:
-    """One poset graph on n points per isomorphism class, the first of its
-    class in mask order.  A candidate is compared only with kept posets of
-    its multiset of (up-set size, down-set size): isomorphic ones share it."""
-    kept: dict[tuple, list] = {}
-    out = []
-    for rel in _enumerate_strict_orders(n):
-        g = _poset_graph(n, rel)
-        same = kept.setdefault(tuple(sorted(zip(
-            map(int.bit_count, g.succ), map(int.bit_count, g.pred)))), [])
-        if all(mask_iso(g.succ, g.pred, *other) is None for other in same):
-            same.append((g.succ, g.pred))
-            out.append(g)
-    return out
+def _poset_classes(n: int) -> list[list[int]]:
+    """The succ masks of one poset on n points per isomorphism class, the
+    first strict order i < j of its class in pair-mask order, in that
+    order.  The classes on m + 1 points are the canonical labellings of
+    the classes on m points with a new maximal point above each downset
+    (the complement of an upset), deduped in a set; nothing is kept from
+    one call to the next."""
+    bit_lists = [tuple(bits(m)) for m in range(1 << n)]
+    found = {()}
+    for m in range(n):
+        grown = set()
+        for rows in found:
+            ups, uppers = rows[::-1], [0]
+            for x in range(m - 1, -1, -1):
+                uppers += [u | 1 << x for u in uppers if not ups[x] & ~u]
+            grown.update(_canonical([u | (~up >> x & 1) << m
+                                     for x, u in enumerate(ups)] + [0],
+                                    bit_lists) for up in uppers)
+        found = grown
+    return [[row | 1 << i for i, row in enumerate(rows[::-1])]
+            for rows in sorted(found)]
 
 
 def gen_poset(spec: GenSpec) -> list[Graph]:
@@ -106,7 +141,9 @@ def gen_poset(spec: GenSpec) -> list[Graph]:
     all posets of the given size up to isomorphism."""
     _expect_kind(spec, ("poset",))
     if spec.exhaustive:
-        return _poset_classes(spec.size)
+        names = tuple(f"v{i}" for i in range(spec.size))
+        return [Graph._from_masks(names, succ)
+                for succ in _poset_classes(spec.size)]
     rng = random.Random(spec.seed)
     return [_poset_graph(spec.size, _random_strict_order(spec.size, rng))
             for _ in range(spec.count)]
@@ -139,11 +176,11 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
         names = tuple(f"e{i}" for i in range(n))
         bounds = {(0, i) for i in range(n)} | {(i, n - 1) for i in range(n)}
         lats: list[FiniteLattice] = []
-        for g in _poset_classes(max(n - 2, 0)):
+        for succ in _poset_classes(max(n - 2, 0)):
             try:
                 lat = _finish_lattice(names, frozenset(bounds | {
-                    (a + 1, b + 1) for a in range(n - 2)
-                    for b in bits(g.succ[a])}))
+                    (a + 1, b + 1) for a, row in enumerate(succ)
+                    for b in bits(row)}))
             except NotALattice:
                 continue
             if spec.kind == "lattice" or is_distributive(lat):

@@ -40,13 +40,14 @@ class MaximalPair:
 def maximal_pairs(L: FiniteLattice) -> list[MaximalPair]:
     """All maximal disjoint filter-ideal pairs, sorted by (x, y) index: the
     set bits of L.maximal_masks."""
+    if L.n < 2:
+        raise DegenerateLattice("need at least two elements")
     return [MaximalPair(L, x, y) for x, y in _generators(L)]
 
 
 def _generators(L: FiniteLattice) -> list[tuple[int, int]]:
-    """The (x, y) of the maximal pairs (up x, down y), sorted."""
-    if L.n < 2:
-        raise DegenerateLattice("need at least two elements")
+    """The (x, y) of the maximal pairs (up x, down y), sorted; none on one
+    element."""
     return [(x, y) for x, row in enumerate(L.maximal_masks) for y in bits(row)]
 
 

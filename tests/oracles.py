@@ -6,6 +6,7 @@ deliberately independent of the code paths it is used to check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -14,8 +15,7 @@ from tirs.errors import (InvalidInput, NoBounds, NotALattice,
                          NotAPartialOrder, NotPerfect, SizeUnreachable)
 from tirs.functors import graph_iso
 from tirs.galois import GaloisLattice
-from tirs.generators import (_enumerate_strict_orders, _poset_graph,
-                             _random_strict_order)
+from tirs.generators import _poset_graph, _random_strict_order
 from tirs.lattice import (CheckReport, FiniteLattice, Witness, _finish_lattice,
                           bits, is_distributive, lattice_iso,
                           pairwise_closure)
@@ -814,6 +814,55 @@ def frozen_dm_completion(g: Graph) -> FiniteLattice:
                             | {g.col(v) for v in g.vertices},
                             frozenset.__and__)
     return frozen_inclusion_lattice(cuts)[1]
+
+
+def _enumerate_strict_orders(n: int):
+    """All transitively closed subsets of {(i, j) : i < j}.  Every finite
+    poset has a linear extension, so this hits every isomorphism class."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(2 ** len(pairs)):
+        rel = {p for k, p in enumerate(pairs) if mask >> k & 1}
+        if all((a, c) in rel
+               for (a, b) in rel for (b2, c) in rel if b2 == b):
+            yield rel
+
+
+@functools.cache
+def strict_order_classes(n: int) -> tuple[frozenset, ...]:
+    """The first strict order of each isomorphism class in the mask order
+    of _enumerate_strict_orders: an order is kept unless a relabelling of
+    a kept one gives it, and every relabelling of a kept one is listed."""
+    seen, out = set(), []
+    for rel in map(frozenset, _enumerate_strict_orders(n)):
+        if rel not in seen:
+            out.append(rel)
+            seen.update(frozenset((p[a], p[b]) for a, b in rel)
+                        for p in itertools.permutations(range(n)))
+    return tuple(out)
+
+
+def brute_poset_classes(n: int) -> list[Graph]:
+    """Exhaustive gen_poset from strict_order_classes."""
+    return [_poset_graph(n, rel) for rel in strict_order_classes(n)]
+
+
+def brute_lattice_classes(kind: str, n: int) -> list[FiniteLattice]:
+    """Exhaustive gen_lattice: each class of strict_order_classes(n - 2)
+    moved up one place between a bottom 0 and a top n - 1, kept if it is a
+    lattice (and distributive, for that kind)."""
+    names = tuple(f"e{i}" for i in range(n))
+    bounds = {(0, i) for i in range(n)} | {(i, n - 1) for i in range(n)}
+    loops = {(i, i) for i in range(n)}
+    out = []
+    for rel in strict_order_classes(max(n - 2, 0)):
+        try:
+            lat = _finish_lattice(names, frozenset(
+                bounds | loops | {(a + 1, b + 1) for a, b in rel}))
+        except NotALattice:
+            continue
+        if kind == "lattice" or is_distributive(lat):
+            out.append(lat)
+    return out
 
 
 def pairwise_posets(n: int) -> list[Graph]:

@@ -92,6 +92,14 @@ class TestTransforms:
         head = json.loads(blobs[0] + "}")
         assert head["cross_check"] is True
 
+    def test_canext_both_on_one_element(self, tmp_path, capsys):
+        p = write_json(tmp_path, "one.json", {"elements": ["x"],
+                                              "covers": []})
+        assert run(["canext", p]) == 0
+        head, tail = capsys.readouterr().out.split("\n}\n{")
+        assert json.loads(head + "}")["cross_check"] is True
+        assert json.loads("{" + tail)["closed_sets"] == [[]]
+
     def test_canext_single_method(self, files, capsys):
         assert run(["canext", files["m3"], "--method", "tandem"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -164,13 +172,13 @@ class TestGen:
                     "--exhaustive"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 5
 
-    def test_exhaustive_lattices_stop_at_size_7(self, capsys):
-        assert run(["gen", "--kind", "lattice", "--size", "7",
-                    "--exhaustive"]) == 0
-        assert len(json.loads(capsys.readouterr().out)) == 53
+    def test_exhaustive_lattices_stop_at_size_10(self, capsys):
         assert run(["gen", "--kind", "lattice", "--size", "8",
+                    "--exhaustive"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 222
+        assert run(["gen", "--kind", "lattice", "--size", "11",
                     "--exhaustive"]) == 2
-        assert "size 7" in capsys.readouterr().err
+        assert "size 10" in capsys.readouterr().err
 
 
 class TestExportDot:

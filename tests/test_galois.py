@@ -4,8 +4,8 @@ from tirs import fixtures
 from tirs.errors import EmbeddingNotOnto, IrreducibleMismatch
 from tirs.functors import rho
 from tirs.galois import (GaloisLattice, _extension, canext_polarity,
-                         canext_tandem,
-                         check_perfect, closed_sets, closure,
+                         canext_tandem, check_perfect,
+                         cross_check_extensions, closed_sets, closure,
                          frame_of_perfect, galois_down, galois_up,
                          irreducibles_of_galois, jinfty_via_maximal_pairs)
 from tirs.lattice import build_lattice, is_distributive, lattice_iso
@@ -172,6 +172,19 @@ class TestCanonicalExtension:
         emb, gl = canext_polarity(build_lattice(["x"], []))
         assert check_pti(gl.as_lattice)[0]
         assert jinfty_via_maximal_pairs(emb)
+
+
+    def test_tandem_on_one_element(self):
+        """The empty dual graph of the one-element lattice has one closed
+        set, so the tandem extension is the one-element lattice, as the
+        polarity one is, and the two cross-check."""
+        L = build_lattice(["x"], [])
+        (emb, gl), (emb2, gl2) = canext_tandem(L), canext_polarity(L)
+        assert gl.base_frame.x1 == gl.base_frame.x2 == ()
+        assert gl.closed_sets == (frozenset(),)
+        assert emb.map == emb2.map == (0,)
+        assert gl.as_lattice.n == gl2.as_lattice.n == 1
+        assert cross_check_extensions(emb, emb2) == (True, {"{F0}": "{}"})
 
 
 class TestExtensionBody:

@@ -38,8 +38,9 @@ class TestPosets:
             assert set(g.edges) == transitive_reflexive_pairs(names, strict)
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 16),
-                                         (5, 63)])
+                                         (5, 63), (6, 318), (7, 2045)])
     def test_exhaustive_counts(self, n, count):
+        # OEIS A000112
         assert len(gen_poset(GenSpec("poset", n, exhaustive=True))) == count
 
 
@@ -83,12 +84,15 @@ class TestLattices:
         assert not is_distributive(L)
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 1), (4, 2),
-                                         (5, 5), (6, 15), (7, 53)])
+                                         (5, 5), (6, 15), (7, 53), (8, 222),
+                                         (9, 1078)])
     def test_exhaustive_counts(self, n, count):
+        # OEIS A006966
         got = gen_lattice(GenSpec("lattice", n, exhaustive=True))
         assert len(got) == count
 
-    @pytest.mark.parametrize("n,count", enumerate([1, 1, 1, 2, 3, 5, 8], 1))
+    @pytest.mark.parametrize("n,count",
+                             enumerate([1, 1, 1, 2, 3, 5, 8, 15, 26], 1))
     def test_exhaustive_distributive_counts(self, n, count):
         # OEIS A006982
         got = gen_lattice(GenSpec("distributive-lattice", n, exhaustive=True))

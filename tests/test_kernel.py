@@ -18,19 +18,21 @@ from tirs.galois import (_close, _generation_failures, canext_polarity,
                          closed_sets,
                          closure, frame_of_perfect, galois_down, galois_up)
 from tirs.galois import inclusion_lattice
-from tirs.generators import (GenSpec, _enumerate_strict_orders,
-                             _lattice_sets, _poset_graph,
-                             _random_strict_order, gen_lattice, gen_poset,
-                             gen_rs_frame)
+from tirs.generators import (GenSpec, _canonical, _lattice_sets,
+                             _poset_graph, _random_strict_order, gen_lattice,
+                             gen_poset, gen_rs_frame, gen_tirs_graph)
 from tirs.io import dump_structure
-from tirs.lattice import (FiniteLattice, _finish_lattice, build_lattice,
-                          irreducibles, lattice_iso, transitive_closure)
+from tirs.lattice import (FiniteLattice, _finish_lattice, bits,
+                          build_lattice, irreducibles, lattice_iso,
+                          transitive_closure)
 from tirs.ploscica import dual_graph, maximal_pairs
 from tirs.pti import _pti_pairs, check_pti_frame_form
 from tirs.structures import Frame, Graph, _is_rs, check_frame, \
     check_graph, is_poset_graph
 
-from oracles import (all_frames, all_graphs, framewise_gen_rs_frame,
+from oracles import (_enumerate_strict_orders, all_frames, all_graphs,
+                     brute_lattice_classes, brute_poset_classes,
+                     framewise_gen_rs_frame, strict_order_classes,
                      frozen_dm_completion, frozen_downset_lattice,
                      frozen_inclusion_lattice, loop_permutes,
                      pairwise_gen_lattice, pairwise_posets, set_check_frame,
@@ -254,6 +256,54 @@ def test_exhaustive_posets_match_the_pairwise_dedupe(n):
 def test_exhaustive_lattices_match_the_pairwise_dedupe(kind, n):
     spec = GenSpec(kind, n, exhaustive=True)
     assert_same_structures(gen_lattice(spec), pairwise_gen_lattice(spec))
+
+
+def assert_same_classes(got, want):
+    """The same classes in the same order: the same succ masks (up masks,
+    for lattices) and the same bytes from dump_structure."""
+    def masks(x):
+        return x.ups if isinstance(x, FiniteLattice) else x.succ
+    assert list(map(masks, got)) == list(map(masks, want))
+    assert [dump_structure(x) for x in got] == \
+        [dump_structure(x) for x in want]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_point_extension_gives_the_brute_force_posets(n):
+    assert_same_classes(gen_poset(GenSpec("poset", n, exhaustive=True)),
+                        brute_poset_classes(n))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "distributive-lattice"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_point_extension_gives_the_brute_force_lattices(kind, n):
+    assert_same_classes(gen_lattice(GenSpec(kind, n, exhaustive=True)),
+                        brute_lattice_classes(kind, n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_point_extension_gives_the_brute_force_tirs_graphs(n):
+    lats = brute_lattice_classes("lattice", max(2, n))
+    assert_same_classes(
+        gen_tirs_graph(GenSpec("tirs-graph", n, exhaustive=True)),
+        brute_poset_classes(n) + [dual_graph(L) for L in lats])
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_the_canonical_labelling_of_any_labelling_is_the_class(n):
+    """Every class, its points relabelled by random permutations (natural
+    or not), has its own first strict order as canonical form."""
+    rng = random.Random(16)
+    bit_lists = [tuple(bits(m)) for m in range(1 << n)]
+    for rel in strict_order_classes(n):
+        want = tuple(sum(1 << b for a, b in rel if a == k)
+                     for k in reversed(range(n)))
+        for _ in range(4):
+            perm = rng.sample(range(n), n)
+            ups = [0] * n
+            for a, b in rel:
+                ups[perm[a]] |= 1 << perm[b]
+            assert _canonical(ups, bit_lists) == want
 
 
 @pytest.mark.parametrize("kind", ["lattice", "distributive-lattice"])

@@ -47,6 +47,13 @@ class TestMaximalPairs:
 
 
 class TestDualGraph:
+    def test_one_element_has_the_empty_dual_graph(self):
+        """The one-element lattice has no maximal pair, so its dual graph
+        has no vertex, where maximal_pairs refuses it."""
+        g = dual_graph(build_lattice(["x"], []))
+        assert (g.vertices, g.succ, g.meta) == ((), (), {})
+        assert check_graph(g).is_tirs
+
     def test_c2_single_loop(self):
         g = dual_graph(fixtures.c2())
         assert g.vertices == ("p0",)

@@ -1,7 +1,7 @@
 """Per-stage CPU times of the duality pipeline on fixed lattices, and of
 structure generation, for two source trees side by side.
 
-    python3 tools/stage_table.py --parent REV --out BENCH_15.json
+    python3 tools/stage_table.py --parent REV --out BENCH_16.json
 
 The change column times the working tree (./src), the parent column a
 `git archive` of REV; the output names both by the git tree id of their
@@ -17,18 +17,24 @@ ones cached (the lattice's maximal-pair table among them).  The
 generation rows time the GENERATION calls; a random row is one call for
 each of the seeds 0 to 9.  The suite rows build the suite's frame corpus
 (lattices included) at TIRS_SUITE_MAXSIZE=8, and run the pti-condition
-task for seed 0 on that corpus built beforehand.  Each figure is the
-median over REPEAT runs, in milliseconds of time.process_time.  The
-stages share one fresh interpreter per run, and every generation or
-suite row has a fresh interpreter of its own, so no row runs on the heap
-another left; the two trees take turns.  The output also records, and
-the tool prints, the line count of src/tirs/*.py in each tree, as
+task for seed 0 on that corpus built beforehand.  Each figure is in
+milliseconds of time.process_time: the median of every in-process call
+of a row over INTERPRETERS interpreters per tree.  An interpreter calls
+a row at least MIN_CALLS and at most MAX_CALLS times, until BUDGET_MS
+of timed work is spent; each call gets an input built off the clock
+(the suite rows on emptied corpus caches), after a gc.collect().  The
+stages share one interpreter per round, and every generation or suite
+row has one of its own, so no row runs on the heap another left; the
+two trees take turns, and who goes first alternates.  The output keeps
+each interpreter's median too, to show their spread.  It also records,
+and the tool prints, the line count of src/tirs/*.py in each tree, as
 `wc -l` counts it.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -44,7 +50,8 @@ LATTICES = ("C32", "M16", "M32")
 STAGES = ("maximal_pairs", "dual_graph", "check_graph", "rho", "gr", "alpha",
           "beta", "closed_sets", "canext_tandem", "canext_polarity",
           "check_pti", "dump_structure", "parse_structure")
-REPEAT = 3  # fresh interpreters per tree
+INTERPRETERS = 3  # per tree
+MIN_CALLS, MAX_CALLS, BUDGET_MS = 5, 40, 500  # per row and interpreter
 # generation calls: name -> (kind, size, count, exhaustive)
 GENERATION = {
     "gen lattice 8 x3 (seeds 0-9)": ("lattice", 8, 3, False),
@@ -73,33 +80,49 @@ def lattice_spec(name):
             [("0", a) for a in atoms] + [(a, "1") for a in atoms])
 
 
-def timed(call, arg):
-    start = time.process_time()
-    call(arg)
-    return (time.process_time() - start) * 1000
+def timed(build, call) -> list[float]:
+    """The ms of each in-process call(build()), MIN_CALLS to MAX_CALLS of
+    them until BUDGET_MS is spent; build and gc.collect run off the
+    clock."""
+    times = []
+    while len(times) < MIN_CALLS or (len(times) < MAX_CALLS
+                                     and sum(times) < BUDGET_MS):
+        arg = build()
+        gc.collect()
+        start = time.process_time()
+        call(arg)
+        times.append((time.process_time() - start) * 1000)
+    return times
 
 
 def measure_row(row):
-    """The ms of one generation or suite row, one run, for the tirs on
+    """The ms of the calls of one generation or suite row, for the tirs on
     sys.path."""
     from tirs import suite
     from tirs.generators import GenSpec, generate
 
+    def corpus(built):
+        suite._lattices.cache_clear()
+        suite._frames.cache_clear()
+        if built:
+            suite._frames(0, 8)
+
     if row == SUITE_FRAMES:
-        return timed(lambda seed: suite._frames(seed, 8), 0)
+        return timed(lambda: corpus(False), lambda _: suite._frames(0, 8))
     if row == PTI_TASK:
         os.environ["TIRS_SUITE_MAXSIZE"] = "8"
-        suite._frames(0, 8)  # the task's corpus, built before the clock
-        return timed(suite.TASKS["pti-condition"], 0)
+        # the task's corpus, built before the clock
+        return timed(lambda: corpus(True),
+                     lambda _: suite.TASKS["pti-condition"](0))
     kind, size, count, exhaustive = GENERATION[row]
     seeds = [0] if exhaustive else range(10)
-    return timed(lambda specs: [generate(s) for s in specs],
-                 [GenSpec(kind, size, seed, count, exhaustive)
-                  for seed in seeds])
+    return timed(lambda: [GenSpec(kind, size, seed, count, exhaustive)
+                          for seed in seeds],
+                 lambda specs: [generate(s) for s in specs])
 
 
 def measure():
-    """{lattice: {stage: ms}}, one run, for the tirs on sys.path."""
+    """{lattice: {stage: [ms, ...]}} for the tirs on sys.path."""
     from tirs import (alpha, beta, build_lattice, canext_polarity,
                       canext_tandem, check_graph, check_pti, closed_sets,
                       dual_graph, gr, maximal_pairs, rho)
@@ -127,7 +150,7 @@ def measure():
     }
 
     def pipeline(name):
-        L = lattice(name)
+        L = lattice(name)  # on the clock: the row times the whole pass
         maximal_pairs(L)
         g = dual_graph(L)
         check_graph(g)
@@ -142,9 +165,9 @@ def measure():
 
     out = {}
     for name in LATTICES:
-        out[name] = {stage: timed(call, build(name))
+        out[name] = {stage: timed(lambda: build(name), call)
                      for stage, (build, call) in stages.items()}
-        out[name]["pipeline"] = timed(pipeline, name)
+        out[name]["pipeline"] = timed(lambda: name, pipeline)
     return out
 
 
@@ -165,10 +188,9 @@ def median(xs) -> float:
     return round(statistics.median(xs), 1)
 
 
-def medians(runs: list[dict]) -> dict:
-    return {name: {stage: median(r[name][stage] for r in runs)
-                   for stage in runs[0][name]}
-            for name in runs[0]}
+def summary(runs: list[list[float]]) -> tuple[float, list[float]]:
+    """The median of every call in runs, and the median of each run."""
+    return median([t for run in runs for t in run]), list(map(median, runs))
 
 
 def src_lines(src: Path) -> int:
@@ -199,17 +221,23 @@ def main():
         runs = {side: {row: [] for row in (None, *ROWS)} for side in trees}
         # the sides take turns, and who goes first alternates, so a drift
         # in machine speed reaches both
-        for k in range(REPEAT):
+        for k in range(INTERPRETERS):
             for row in (None, *ROWS):
                 for side in sorted(trees, reverse=k % 2 == 1):
                     runs[side][row].append(run_tree(trees[side], row))
-    parent, change = (medians(runs[side][None]) for side in trees)
 
-    rows = [{"lattice": name, "stage": stage, "parent_ms": parent[name][stage],
-             "change_ms": change[name][stage]}
+    def row(key, side_runs):
+        out = dict(key)
+        for side, r in side_runs.items():
+            out[f"{side}_ms"], out[f"{side}_interpreter_ms"] = summary(r)
+        return out
+
+    rows = [row({"lattice": name, "stage": stage},
+                {side: [run[name][stage] for run in runs[side][None]]
+                 for side in trees})
             for name in LATTICES for stage in (*STAGES, "pipeline")]
-    gen_rows = [{"call": call, "parent_ms": median(runs["parent"][call]),
-                 "change_ms": median(runs["change"][call])} for call in ROWS]
+    gen_rows = [row({"call": call}, {side: runs[side][call] for side in trees})
+                for call in ROWS]
     args.out.write_text(json.dumps({
         "tool": "tools/stage_table.py",
         "python": platform.python_version(),
@@ -222,10 +250,13 @@ def main():
             "change_src_tree": git("rev-parse", "HEAD:src")
             + (" + uncommitted changes" if dirty else "")},
         "src_lines": lines,
-        "repeat": REPEAT,
-        "unit": "ms of time.process_time, median over the repeats, each "
-                "a fresh interpreter (one for the stages, one per "
-                "generation or suite row), parent and change taking turns",
+        "interpreters": INTERPRETERS,
+        "calls": {"min": MIN_CALLS, "max": MAX_CALLS,
+                  "budget_ms": BUDGET_MS},
+        "unit": "ms of time.process_time, median of every in-process call "
+                "over the interpreters (one per round for the stages, one "
+                "per generation or suite row), parent and change taking "
+                "turns; *_interpreter_ms are each interpreter's medians",
         "rows": rows,
         "generation_rows": gen_rows,
     }, indent=2) + "\n")
