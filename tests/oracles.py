@@ -830,8 +830,8 @@ def _enumerate_strict_orders(n: int):
 @functools.cache
 def strict_order_classes(n: int) -> tuple[frozenset, ...]:
     """The first strict order of each isomorphism class in the mask order
-    of _enumerate_strict_orders: an order is kept unless a relabelling of
-    a kept one gives it, and every relabelling of a kept one is listed."""
+    of _enumerate_strict_orders: an order is kept unless it is a
+    relabelling of a kept one, all of whose relabellings are marked seen."""
     seen, out = set(), []
     for rel in map(frozenset, _enumerate_strict_orders(n)):
         if rel not in seen:
