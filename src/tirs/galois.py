@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from .errors import (EmbeddingNotOnto, InvalidInput, IrreducibleMismatch,
                      NotPerfect)
 from .lattice import (CheckReport, FiniteLattice, LatticeEmbedding, Witness,
-                      _finish_lattice, bits, irreducibles, pairwise_closure)
+                      _meet, _transpose, bits, closed_under, irreducibles)
 from .ploscica import _generators, dual_graph
-from .structures import Frame, _meet, _names, subset
+from .structures import Frame, _names
 from .functors import rho
 
 
@@ -54,19 +54,22 @@ def _set_name(s) -> str:
 def inclusion_lattice(masks, points):
     """The sets of a family of masks over points, in (size, sorted members)
     order, and the lattice they form under inclusion with each set named
-    by its members."""
+    by its members.  The family is not scanned: a closure system (closed
+    under intersection, with the full set) is a lattice, as is its dual."""
     rank = sorted(range(len(points)), key=points.__getitem__)
     members = {m: [points[i] for i in rank if m >> i & 1] for m in masks}
     masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
-    leq = frozenset((i, j) for i, si in enumerate(masks)
-                    for j, sj in enumerate(masks) if subset(si, sj))
+    # holds[p] masks the sets holding point p: a set lies below the sets
+    # that hold all its points
+    holds = _transpose(masks, len(points))
+    ups = [_meet(holds, bits(m), len(masks)) for m in masks]
     names, first = [_set_name(members[m]) for m in masks], {}
     sets = [frozenset(members[m]) for m in masks]
     for s, name in zip(sets, names):  # a "," in a point name can collide
         if first.setdefault(name, s) != s:
             raise InvalidInput(f"sets {sorted(first[name])} and {sorted(s)} "
                                f"are both named {name}")
-    return sets, _finish_lattice(names, leq)
+    return sets, FiniteLattice._from_masks(names, ups)
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def closed_sets(f: Frame) -> GaloisLattice:
     Generated as the intersection closure of the column extents together
     with the full carrier; each member is verified to be Galois-closed.
     """
-    family = pairwise_closure({(1 << len(f.x1)) - 1, *f.cols}, int.__and__)
+    family = closed_under(int.__and__, {(1 << len(f.x1)) - 1, *f.cols})
     for s in family:
         if _close(f, s) != s:
             raise AssertionError(f"generated set {sorted(_names(s, f.x1))} "

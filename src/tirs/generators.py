@@ -25,10 +25,10 @@ from typing import Optional
 
 from .errors import InvalidInput, NotALattice, SizeUnreachable
 from .galois import inclusion_lattice
-from .lattice import (FiniteLattice, _finish_lattice, bits, is_distributive,
-                      pairwise_closure, transitive_closure)
+from .lattice import (FiniteLattice, _finish_lattice, _transpose, bits,
+                      closed_under, is_distributive, transitive_closure)
 from .ploscica import dual_graph
-from .structures import Frame, Graph, _is_rs, _transpose
+from .structures import Frame, Graph, _is_rs
 
 EXHAUSTIVE_POSET_MAX = 8
 EXHAUSTIVE_LATTICE_MAX = EXHAUSTIVE_POSET_MAX + 2
@@ -155,9 +155,9 @@ def _lattice_sets(g: Graph, distributive: bool, limit=None) -> frozenset[int]:
     Dedekind-MacNeille completion: the Galois-closed sets of the order
     polarity (P, P, <=); cut short once there are more than limit."""
     if distributive:
-        return pairwise_closure({0, *g.pred}, int.__or__, limit=limit)
-    return pairwise_closure({(1 << len(g.vertices)) - 1, *g.pred},
-                            int.__and__, limit=limit)
+        return closed_under(int.__or__, {0, *g.pred}, limit)
+    return closed_under(int.__and__, {(1 << len(g.vertices)) - 1, *g.pred},
+                        limit)
 
 
 def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:

@@ -2,9 +2,10 @@
 filters/ideals, embeddings, density/compactness/distributivity checks.
 
 Elements are referenced internally by index (input order); all public output
-uses names.  Every value is immutable after construction.  The order is also
-held as int bitmasks over element indices, built once per lattice on first
-read: the tables, covers, irreducibles and the iso search run on those masks.
+uses names.  Every value is immutable after construction.  A lattice holds
+its order once, as int bitmasks over element indices, on which the covers,
+irreducibles, maximal pairs and the iso search run; the order pairs and
+the join/meet tables are views of those masks, built on first read.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .errors import NoBounds, NotALattice, NotAPartialOrder
+from .errors import InvalidInput, NoBounds, NotALattice, NotAPartialOrder
 
 
 class Witness(NamedTuple):
@@ -49,34 +50,49 @@ class CheckReport:
                               for w in self.witnesses]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteLattice:
-    """A finite bounded lattice given by its full order relation.
-
-    ``leq`` holds index pairs (i, j) with i <= j, reflexive-transitively
-    closed.  ``join``/``meet`` are full binary tables indexed by element
-    index.  Derived tables are cached properties, not fields: ups[a] has
-    bit b set iff a <= b, downs[b] is the transpose, _index maps names to
-    indices, irreducible_masks holds the irreducibles and maximal_masks
-    the maximal pairs.
-    """
+    """A finite bounded lattice held as the masks of its order: ups[a] has
+    bit b set iff a <= b, and downs, set beside it with the indices bot
+    and top, is the transpose.  FiniteLattice(elements, leq, join, meet,
+    bot, top) reads the order as index pairs and checks the tables and
+    bounds against it; FiniteLattice._from_masks(elements, ups) takes the
+    masks.  The views leq (the pairs (a, b) with a <= b) and the join/meet
+    tables, _index, irreducible_masks and maximal_masks are cached on
+    first read."""
 
     elements: tuple[str, ...]
-    leq: frozenset[tuple[int, int]]
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
-    bot: int
-    top: int
+    ups: tuple[int, ...]
 
-    @cached_property
-    def ups(self) -> tuple[int, ...]:
-        ups, vars(self)["downs"] = order_masks(self.n, self.leq)
-        return ups
+    def __init__(self, elements: tuple[str, ...],
+                 leq: frozenset[tuple[int, int]],
+                 join: tuple[tuple[int, ...], ...],
+                 meet: tuple[tuple[int, ...], ...], bot: int, top: int):
+        vars(self).update(vars(_finish_lattice(elements, leq)))
+        for what, given in (("join", tuple(map(tuple, join))),
+                            ("meet", tuple(map(tuple, meet))),
+                            ("bot", bot), ("top", top)):
+            if given != getattr(self, what):
+                raise InvalidInput(f"the {what} given disagrees with leq")
 
-    @cached_property
-    def downs(self) -> tuple[int, ...]:
-        self.ups  # built together with downs
-        return vars(self)["downs"]
+    # a stringised "-> None" would read 'None' in the signature
+    __init__.__annotations__["return"] = None
+
+    @classmethod
+    def _from_masks(cls, elements, ups) -> FiniteLattice:
+        """bot or top is None if the order lacks it: _finish_lattice then
+        raises, and no other caller passes such masks."""
+        L, ups, full = object.__new__(cls), tuple(ups), (1 << len(ups)) - 1
+        downs = _transpose(ups, len(ups))
+        vars(L).update(elements=tuple(elements), ups=ups, downs=downs,
+                       bot=ups.index(full) if full in ups else None,
+                       top=downs.index(full) if full in downs else None)
+        return L
+
+    leq = cached_property(lambda L: frozenset(
+        (a, b) for a, up in enumerate(L.ups) for b in bits(up)))
+    join = cached_property(lambda L: _table(L.ups))
+    meet = cached_property(lambda L: _table(L.downs))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -140,23 +156,19 @@ class FiniteLattice:
         return [(a, b) for b in range(self.n) for a in self.lower_covers(b)]
 
     def join_of(self, xs) -> int:
-        r = self.bot
-        for x in xs:
-            r = self.join[r][x]
-        return r
+        """The element whose up-mask is the meet of those of xs."""
+        return self.ups.index(_meet(self.ups, xs, self.n))
 
     def meet_of(self, xs) -> int:
-        r = self.top
-        for x in xs:
-            r = self.meet[r][x]
-        return r
+        return self.downs.index(_meet(self.downs, xs, self.n))
 
     def to_json(self) -> dict:
         nm = self.name
         return {
             "elements": list(self.elements),
             "covers": [[nm(a), nm(b)] for a, b in self.covers()],
-            "leq": sorted([nm(a), nm(b)] for a, b in self.leq),
+            "leq": sorted([nm(a), nm(b)] for a, up in enumerate(self.ups)
+                          for b in bits(up)),
         }
 
 
@@ -165,6 +177,12 @@ class LatticeEmbedding:
     source: FiniteLattice
     target: FiniteLattice
     map: tuple[int, ...]  # source index -> target index
+
+    def __post_init__(self):
+        if len(self.map) != self.source.n or not all(
+                t in range(self.target.n) for t in self.map):
+            raise InvalidInput("an embedding maps each source index to a "
+                               "target index")
 
     def apply(self, a: int) -> int:
         return self.map[a]
@@ -198,14 +216,43 @@ def bits(mask: int):
         mask ^= low
 
 
-def order_masks(n: int, pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The row masks ups and column masks downs of a relation on range(n):
-    ups[a] has bit b set, and downs[b] bit a, iff (a, b) is related."""
-    ups, downs = [0] * n, [0] * n
+def order_masks(n: int, pairs) -> tuple[int, ...]:
+    """The row masks of a relation on range(n): rows[a] has bit b set iff
+    (a, b) is related."""
+    rows = [0] * n
     for a, b in pairs:
-        ups[a] |= 1 << b
-        downs[b] |= 1 << a
-    return tuple(ups), tuple(downs)
+        rows[a] |= 1 << b
+    return tuple(rows)
+
+
+def _transpose(rows, width: int) -> tuple[int, ...]:
+    """The column masks of row masks over range(width): bit i of column j
+    is bit j of rows[i].  A small table is walked bit by bit; a larger one
+    is written as bit strings, lowest bit first, which zip transposes."""
+    if len(rows) * width <= 64:
+        cols = [0] * width
+        for i, row in enumerate(rows):
+            for j in bits(row):
+                cols[j] |= 1 << i
+        return tuple(cols)
+    digits = [format(row, f"0{width}b")[::-1] for row in rows]
+    return tuple(int("".join(col)[::-1], 2) for col in zip(*digits))
+
+
+def _meet(masks, members, width: int) -> int:
+    """The AND of masks[i] over the indices i in members, starting from
+    the full mask of the given width."""
+    out = (1 << width) - 1
+    for i in members:
+        out &= masks[i]
+    return out
+
+
+def _table(masks) -> tuple[tuple[int, ...], ...]:
+    """join (meet) [a][b] is the element whose up (down) mask is the AND
+    of the masks of a and b."""
+    at = {m: c for c, m in enumerate(masks)}
+    return tuple(tuple([at[m & k] for k in masks]) for m in masks)
 
 
 def mask_iso(rows1, cols1, rows2, cols2) -> Optional[dict[int, int]]:
@@ -250,7 +297,7 @@ def mask_iso(rows1, cols1, rows2, cols2) -> Optional[dict[int, int]]:
 
 def transitive_closure(n: int, pairs) -> set[tuple[int, int]]:
     """Transitive closure of a relation on range(n): Warshall on row masks."""
-    rows = list(order_masks(n, pairs)[0])
+    rows = list(order_masks(n, pairs))
     for k in range(n):
         bit, row_k = 1 << k, rows[k]
         for i in range(n):
@@ -295,46 +342,31 @@ def build_lattice(elements, covers) -> FiniteLattice:
 
 
 def _finish_lattice(elements, rel) -> FiniteLattice:
-    """The lattice of a reflexive, transitive relation on element indices.
-
-    join[a][b] is the element whose up-mask is ups[a] & ups[b], meet[a][b]
-    the one whose down-mask is downs[a] & downs[b].  Errors name the
-    lowest cycle pair, or the first pair in scan order without a join or a
-    meet (join first)."""
-    n = len(elements)
-    ups, downs = order_masks(n, rel)
+    """The lattice of a reflexive, transitive relation on element indices,
+    given as index pairs.  a and b have a join iff some element's up-mask
+    is ups[a] & ups[b], and a meet iff some element's down-mask is
+    downs[a] & downs[b].  Errors name the lowest cycle pair, or the first
+    pair in scan order without a join or a meet (join first)."""
+    L = FiniteLattice._from_masks(elements, order_masks(len(elements), rel))
+    ups, downs, n = L.ups, L.downs, L.n
     for a in range(n):
         cyc = ups[a] & downs[a] & ~(1 << a)
         if cyc:
-            raise NotAPartialOrder((elements[a], elements[next(bits(cyc))]))
+            raise NotAPartialOrder((L.name(a), L.name(next(bits(cyc)))))
     if n == 0:
         raise NoBounds("empty carrier")
 
-    # ups and downs are injective on a reflexive antisymmetric relation
-    by_up = {m: c for c, m in enumerate(ups)}
-    by_down = {m: c for c, m in enumerate(downs)}
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
     # a pair lacking a join or meet is found with its mirror image, so the
     # first failure of the full scan lies at or above the diagonal
+    up_set, down_set = set(ups), set(downs)
     for a in range(n):
         for b in range(a, n):
-            j = by_up.get(ups[a] & ups[b])
-            if j is None:
-                raise NotALattice((elements[a], elements[b]), "join")
-            m = by_down.get(downs[a] & downs[b])
-            if m is None:
-                raise NotALattice((elements[a], elements[b]), "meet")
-            join[a][b] = join[b][a] = j
-            meet[a][b] = meet[b][a] = m
-
-    bot, top = by_up.get((1 << n) - 1), by_down.get((1 << n) - 1)
-    if bot is None or top is None:
+            if ups[a] & ups[b] not in up_set:
+                raise NotALattice((L.name(a), L.name(b)), "join")
+            if downs[a] & downs[b] not in down_set:
+                raise NotALattice((L.name(a), L.name(b)), "meet")
+    if L.bot is None or L.top is None:
         raise NoBounds("missing bottom or top")
-
-    L = FiniteLattice(tuple(elements), frozenset(rel), tuple(map(tuple, join)),
-                      tuple(map(tuple, meet)), bot, top)
-    vars(L).update(ups=ups, downs=downs)
     return L
 
 
@@ -355,19 +387,16 @@ def filters_ideals(L: FiniteLattice):
     return filters, ideals
 
 
-def pairwise_closure(base, *ops, limit=None) -> frozenset:
-    """Close a set under commutative binary operations: add op(a, b) for
-    all members and ops until none is new or there are more than limit."""
-    out = set(base)
-    todo = list(out)
-    while todo and (limit is None or len(out) <= limit):
-        a = todo.pop()
-        for b in list(out):
-            for op in ops:
-                c = op(a, b)
-                if c not in out:
-                    out.add(c)
-                    todo.append(c)
+def closed_under(op, base, limit=None) -> frozenset:
+    """Close base under an associative, commutative, idempotent op, one
+    member at a time: each joins the family with op of it and every member
+    so far.  Cut short once there are more than limit members."""
+    out = set()
+    for g in base:
+        if limit is not None and len(out) > limit:
+            break
+        out |= {op(s, g) for s in out}
+        out.add(g)
     return frozenset(out)
 
 
@@ -377,10 +406,10 @@ def check_dense(emb: LatticeEmbedding) -> CheckReport:
     C = emb.target
 
     def meets(base):  # the empty meet, top, included
-        return pairwise_closure(base | {C.top}, lambda a, b: C.meet[a][b])
+        return closed_under(lambda a, b: C.meet[a][b], base | {C.top})
 
     def joins(base):
-        return pairwise_closure(base | {C.bot}, lambda a, b: C.join[a][b])
+        return closed_under(lambda a, b: C.join[a][b], base | {C.bot})
 
     joins_of_meets = joins(meets(emb.image()))
     meets_of_joins = meets(joins(emb.image()))

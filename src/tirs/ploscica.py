@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateLattice, MismatchedCarrier
+from .errors import DegenerateLattice, InvalidInput, MismatchedCarrier
 from .lattice import FiniteLattice, bits
 from .structures import Graph, _names, subset
 
@@ -21,6 +21,13 @@ class MaximalPair:
     lattice: FiniteLattice
     x: int  # generator of the filter part
     y: int  # generator of the ideal part
+
+    def __post_init__(self):
+        n = range(self.lattice.n)
+        if not (self.x in n and self.y in n
+                and self.lattice.maximal_masks[self.x] >> self.y & 1):
+            raise InvalidInput(f"({self.x}, {self.y}) does not generate a "
+                               f"maximal pair")
 
     @property
     def ones(self) -> frozenset[int]:

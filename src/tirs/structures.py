@@ -17,7 +17,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import InvalidInput
-from .lattice import CheckReport, Witness, bits
+from .lattice import CheckReport, Witness, _meet, _transpose, bits
 
 
 def _names(mask: int, names) -> frozenset[str]:
@@ -46,20 +46,6 @@ def _relation(index1, index2, pairs, unknown: str) -> list[int]:
     except KeyError:
         raise InvalidInput(unknown) from None
     return rows
-
-
-def _transpose(rows, width: int) -> tuple[int, ...]:
-    """The column masks of row masks over range(width): bit i of column j
-    is bit j of rows[i].  A small table is walked bit by bit; a larger one
-    is written as bit strings, lowest bit first, which zip transposes."""
-    if len(rows) * width <= 64:
-        cols = [0] * width
-        for i, row in enumerate(rows):
-            for j in bits(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
-    digits = [format(row, f"0{width}b")[::-1] for row in rows]
-    return tuple(int("".join(col)[::-1], 2) for col in zip(*digits))
 
 
 def _walk(rows, names1, names2, cols):
@@ -227,15 +213,6 @@ def _collect(gen, all_witnesses):
         if not all_witnesses:
             break
     return CheckReport.ok() if not out else CheckReport.fail(out)
-
-
-def _meet(masks, members, width: int) -> int:
-    """The AND of masks[i] over the indices i in members, starting from
-    the full mask of the given width."""
-    out = (1 << width) - 1
-    for i in members:
-        out &= masks[i]
-    return out
 
 
 def subset(a: int, b: int) -> bool:

@@ -17,8 +17,7 @@ from tirs.functors import graph_iso
 from tirs.galois import GaloisLattice
 from tirs.generators import _poset_graph, _random_strict_order
 from tirs.lattice import (CheckReport, FiniteLattice, Witness, _finish_lattice,
-                          bits, is_distributive, lattice_iso,
-                          pairwise_closure)
+                          bits, is_distributive, lattice_iso)
 from tirs.pti import PTiWitness
 from tirs.structures import (ConditionReport, Frame, Graph, check_frame,
                              subset)
@@ -797,6 +796,22 @@ def frozen_inclusion_lattice(family):
             raise InvalidInput(f"sets {sorted(first[name])} and {sorted(s)} "
                                f"are both named {name}")
     return sets, _finish_lattice(names, leq)
+
+
+def pairwise_closure(base, *ops, limit=None) -> frozenset:
+    """Close a set under commutative binary operations: add op(a, b) for
+    all members and ops until none is new or there are more than limit."""
+    out = set(base)
+    todo = list(out)
+    while todo and (limit is None or len(out) <= limit):
+        a = todo.pop()
+        for b in list(out):
+            for op in ops:
+                c = op(a, b)
+                if c not in out:
+                    out.add(c)
+                    todo.append(c)
+    return frozenset(out)
 
 
 def frozen_downset_lattice(g: Graph) -> FiniteLattice:

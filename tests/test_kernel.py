@@ -35,7 +35,8 @@ from oracles import (_enumerate_strict_orders, all_frames, all_graphs,
                      framewise_gen_rs_frame, strict_order_classes,
                      frozen_dm_completion, frozen_downset_lattice,
                      frozen_inclusion_lattice, loop_permutes,
-                     pairwise_gen_lattice, pairwise_posets, set_check_frame,
+                     pairwise_closure, pairwise_gen_lattice, pairwise_posets,
+                     set_check_frame,
                      set_check_graph, set_closed_sets, set_closure,
                      set_covers, set_dual_graph, set_finish_lattice,
                      set_frame_iso, set_frame_of_perfect, set_galois_down,
@@ -344,6 +345,31 @@ def test_mask_families_give_the_frozenset_lattices():
     assert got == frozen_inclusion_lattice(family)
 
 
+def test_the_closure_matches_the_pairwise_worklist():
+    """The one-generator-at-a-time closure of _lattice_sets gives the
+    worklist's family on every poset up to 5 points and random ones up to
+    12, both kinds; cut short at a limit, it makes the same
+    len(family) == limit decision, and it completes where the worklist
+    does."""
+    rng = random.Random(16)
+    graphs = [_poset_graph(n, rel) for n in range(1, 6)
+              for rel in _enumerate_strict_orders(n)]
+    graphs += [_poset_graph(n, _random_strict_order(n, rng))
+               for n in range(6, 13) for _ in range(3)]
+    for g in graphs:
+        full = (1 << len(g.vertices)) - 1
+        for distributive, base, op in ((True, {0, *g.pred}, int.__or__),
+                                       (False, {full, *g.pred}, int.__and__)):
+            want = pairwise_closure(base, op)
+            assert _lattice_sets(g, distributive) == want
+            for limit in {1, len(want) // 2, len(want) - 1, len(want)}:
+                got = _lattice_sets(g, distributive, limit)
+                cut = pairwise_closure(base, op, limit=limit)
+                assert (len(got) == limit) == (len(cut) == limit)
+                if len(want) <= limit:
+                    assert got == cut == want
+
+
 @pytest.mark.parametrize("family", sorted(GRAPHS))
 def test_graph_iso_matches_the_set_search(family):
     rng = random.Random(3)
@@ -545,8 +571,12 @@ def families():
 
 def assert_lattice_kernels(L):
     """Every mask kernel on L equals its set-based oracle."""
-    assert _finish_lattice(L.elements, L.leq) == \
-        set_finish_lattice(L.elements, L.leq)
+    # the oracle passes its scanned tables and bounds to the public
+    # constructor, which checks them against the views
+    want = set_finish_lattice(L.elements, L.leq)
+    assert _finish_lattice(L.elements, L.leq) == want
+    assert (L.join, L.meet, L.bot, L.top) == \
+        (want.join, want.meet, want.bot, want.top)
     for a in range(L.n):
         assert L.up(a) == {b for b in range(L.n) if (a, b) in L.leq}
         assert L.down(a) == {b for b in range(L.n) if (b, a) in L.leq}

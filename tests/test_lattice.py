@@ -1,8 +1,9 @@
 import pytest
 
 from tirs import fixtures
-from tirs.errors import NoBounds, NotALattice, NotAPartialOrder
-from tirs.lattice import (LatticeEmbedding, build_lattice, check_compact,
+from tirs.errors import InvalidInput, NoBounds, NotALattice, NotAPartialOrder
+from tirs.lattice import (FiniteLattice, LatticeEmbedding, build_lattice,
+                          check_compact,
                           check_dense, filters_ideals, irreducibles,
                           is_distributive, lattice_from_leq, lattice_iso)
 
@@ -57,6 +58,23 @@ class TestBuild:
         with pytest.raises(ValueError, match="^duplicate element names$"):
             lattice_from_leq(["a", "a"], [("a", "a")])
 
+    def test_the_constructor_checks_the_tables_and_bounds(self):
+        """FiniteLattice(elements, leq, join, meet, bot, top) accepts the
+        tables and bounds of leq, and raises InvalidInput on swapped join
+        and meet tables or swapped bounds."""
+        L = fixtures.n5()
+        assert FiniteLattice(L.elements, L.leq, L.join, L.meet, L.bot,
+                             L.top) == L
+        c2 = fixtures.c2()
+        with pytest.raises(InvalidInput, match="join"):
+            FiniteLattice(c2.elements, c2.leq, c2.meet, c2.join, 0, 1)
+        with pytest.raises(InvalidInput, match="meet"):
+            FiniteLattice(L.elements, L.leq, L.join, L.join, L.bot, L.top)
+        with pytest.raises(InvalidInput, match="bot"):
+            FiniteLattice(L.elements, L.leq, L.join, L.meet, L.top, L.bot)
+        with pytest.raises(InvalidInput, match="top"):
+            FiniteLattice(L.elements, L.leq, L.join, L.meet, L.bot, L.bot)
+
     def test_lattice_from_leq_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown element 'zz'"):
             lattice_from_leq(["a"], [("a", "a"), ("a", "zz")])
@@ -97,6 +115,13 @@ class TestFiltersIdeals:
 
 
 class TestDenseCompact:
+    def test_an_embedding_maps_every_source_index_into_the_target(self):
+        L = fixtures.n5()
+        for bad in ((5,), (0, 1, 2, 3), (0, 1, 2, 3, 5), (0, 1, 2, 3, -1)):
+            with pytest.raises(InvalidInput):
+                LatticeEmbedding(L, L, bad)
+        assert identity_embedding(L).validate()
+
     def test_identity_is_dense(self):
         for L in fixtures.all_lattices().values():
             assert check_dense(identity_embedding(L))

@@ -1,12 +1,12 @@
 import pytest
 
 from tirs import fixtures
-from tirs.errors import DegenerateLattice, MismatchedCarrier
+from tirs.errors import DegenerateLattice, InvalidInput, MismatchedCarrier
 from tirs.functors import gr
 from tirs.galois import frame_of_perfect
 from tirs.generators import GenSpec, gen_lattice
 from tirs.lattice import build_lattice
-from tirs.ploscica import dual_graph, maximal_pairs, mph_leq
+from tirs.ploscica import MaximalPair, dual_graph, maximal_pairs, mph_leq
 from tirs.structures import check_graph, h_set
 
 from oracles import brute_maximal_pairs, pointwise_dual_edges
@@ -40,6 +40,15 @@ class TestMaximalPairs:
         L = fixtures.all_lattices()[name]
         got = {(p.ones, p.zeros) for p in maximal_pairs(L)}
         assert got == brute_maximal_pairs(L)
+
+    def test_a_pair_must_be_maximal(self):
+        """(up a, down a) meet in a, and no pair has an index outside N5."""
+        L = fixtures.n5()
+        a, b = L.index("a"), L.index("b")
+        assert MaximalPair(L, a, b) == maximal_pairs(L)[0]
+        for x, y in ((a, a), (b, a), (a, 5), (-1, b)):
+            with pytest.raises(InvalidInput):
+                MaximalPair(L, x, y)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateLattice):

@@ -35,15 +35,14 @@ class Builds:
         self.counts = Counter()
         self._alive = []
         # the H-table per frame, one inclusion table per mask tuple (two per
-        # graph or frame), the order masks per leq relation (build_lattice's
-        # transitive closure counts its own relation), the irreducibles and
-        # the maximal pairs per lattice
+        # graph or frame), the down-set masks per lattice (the transpose of
+        # its ups), the irreducibles and the maximal pairs per lattice
         self._wrap(monkeypatch, structures._HTable, "__init__", "h-table",
                    lambda table, f: f)
         self._wrap(monkeypatch, structures, "_supersets", "supersets",
                    lambda masks: masks)
-        self._wrap(monkeypatch, lattice, "order_masks", "order",
-                   lambda n, pairs: pairs)
+        self._wrap(monkeypatch, lattice, "_transpose", "order",
+                   lambda ups, n: ups)
         for attr, table in (("irreducible_masks", "irreducibles"),
                             ("maximal_masks", "maximal")):
             scan = vars(FiniteLattice)[attr].func
@@ -125,12 +124,11 @@ def test_random_gen_lattice_builds_only_the_lattices_it_returns(monkeypatch,
     built: one lattice build per lattice returned."""
     built = []
 
-    def counted(elements, rel, build=lattice._finish_lattice):
-        built.append(build(elements, rel))
+    def counted(elements, ups, build=FiniteLattice._from_masks):
+        built.append(build(elements, ups))
         return built[-1]
 
-    for module in (galois, generators):
-        monkeypatch.setattr(module, "_finish_lattice", counted)
+    monkeypatch.setattr(FiniteLattice, "_from_masks", staticmethod(counted))
     out = [L for size in range(2, 9)
            for L in gen_lattice(GenSpec(kind, size, seed=size, count=3))]
     assert len(out) == 21
@@ -203,17 +201,34 @@ def test_caches_are_invisible():
 
 def test_lattice_fields_are_the_defining_data():
     assert [fl.name for fl in dataclasses.fields(FiniteLattice)] == [
-        "elements", "leq", "join", "meet", "bot", "top"]
+        "elements", "ups"]
 
 
 def test_a_directly_built_lattice_derives_its_masks():
+    """The public constructor, given the pairs and tables, derives the same
+    masks and bounds as build_lattice."""
     L = fixtures.n5()
     direct = set_finish_lattice(L.elements, L.leq)
-    assert "ups" not in vars(direct) and "downs" not in vars(direct)
-    downs = direct.downs  # read first, so it builds ups alongside
-    assert (direct.ups, downs) == order_masks(direct.n, direct.leq)
     assert (direct.ups, direct.downs) == (L.ups, L.downs)
+    assert direct.ups == order_masks(direct.n, L.leq)
+    assert (direct.bot, direct.top) == (L.bot, L.top)
     assert direct.irreducible_masks == L.irreducible_masks
+
+
+def test_the_order_views_are_built_on_first_read():
+    """Built, closed-set and generated lattices hold their order as masks
+    only: leq, join and meet appear in vars() once read, and equal the
+    public constructor's check of them."""
+    lats = [fixtures.n5(), galois.closed_sets(fixtures.diagonal_frame())
+            .as_lattice, *gen_lattice(GenSpec("lattice", 6, count=2)),
+            *gen_lattice(GenSpec("distributive-lattice", 6, count=2)),
+            *gen_lattice(GenSpec("lattice", 5, exhaustive=True))]
+    for L in lats:
+        assert not {"leq", "join", "meet"} & set(vars(L))
+        assert set(vars(L)) == {"elements", "ups", "downs", "bot", "top"}
+        assert FiniteLattice(L.elements, L.leq, L.join, L.meet, L.bot,
+                             L.top) == L
+        assert {"leq", "join", "meet"} <= set(vars(L))
 
 
 def test_canext_tandem_finds_the_maximal_pairs_once(monkeypatch):

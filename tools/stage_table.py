@@ -46,7 +46,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LATTICES = ("C32", "M16", "M32")
+LATTICES = ("C32", "M16", "M32", "B8")
 STAGES = ("maximal_pairs", "dual_graph", "check_graph", "rho", "gr", "alpha",
           "beta", "closed_sets", "canext_tandem", "canext_polarity",
           "check_pti", "dump_structure", "parse_structure")
@@ -70,11 +70,17 @@ ROWS = (*GENERATION, SUITE_FRAMES, PTI_TASK)
 
 
 def lattice_spec(name):
-    """(elements, covers) of the chain C_n or of M_n."""
+    """(elements, covers) of the chain C_n, of the Boolean lattice B_n (the
+    subsets of n points, as bit strings) or of M_n."""
     n = int(name[1:])
     if name[0] == "C":
         elements = [f"c{i}" for i in range(n)]
         return elements, list(zip(elements, elements[1:]))
+    if name[0] == "B":
+        elements = [format(s, f"0{n}b") for s in range(1 << n)]
+        return elements, [(elements[s], elements[s | 1 << k])
+                          for s in range(1 << n) for k in range(n)
+                          if not s >> k & 1]
     atoms = [f"a{i}" for i in range(n)]
     return (["0", *atoms, "1"],
             [("0", a) for a in atoms] + [(a, "1") for a in atoms])
