@@ -156,7 +156,7 @@ class FiniteLattice:
         return [(a, b) for b in range(self.n) for a in self.lower_covers(b)]
 
     def join_of(self, xs) -> int:
-        """The element whose up-mask is the meet of those of xs."""
+        """The element whose up-mask is the AND of those of xs."""
         return self.ups.index(_meet(self.ups, xs, self.n))
 
     def meet_of(self, xs) -> int:
