@@ -3,9 +3,9 @@ import pytest
 from tirs import fixtures
 from tirs.errors import InvalidInput, NoBounds, NotALattice, NotAPartialOrder
 from tirs.lattice import (FiniteLattice, LatticeEmbedding, build_lattice,
-                          check_compact,
-                          check_dense, filters_ideals, irreducibles,
-                          is_distributive, lattice_from_leq, lattice_iso)
+                          check_compact, check_dense, filters_ideals,
+                          irreducibles, is_distributive, lattice_from_leq,
+                          lattice_iso)
 
 from oracles import (brute_filters, brute_ideals, brute_irreducibles,
                      transitive_reflexive_pairs)
