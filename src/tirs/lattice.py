@@ -167,8 +167,7 @@ class FiniteLattice:
         return {
             "elements": list(self.elements),
             "covers": [[nm(a), nm(b)] for a, b in self.covers()],
-            "leq": sorted([nm(a), nm(b)] for a, up in enumerate(self.ups)
-                          for b in bits(up)),
+            "leq": sorted([nm(a), nm(b)] for a, b in self.leq),
         }
 
 

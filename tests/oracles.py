@@ -516,9 +516,18 @@ def set_finish_lattice(elements, rel) -> FiniteLattice:
     tops = [a for a in range(n) if all(le(b, a) for b in range(n))]
     if not bots or not tops:
         raise NoBounds("missing bottom or top")
-    return FiniteLattice(tuple(elements), frozenset(rel),
-                         tuple(map(tuple, join)), tuple(map(tuple, meet)),
-                         bots[0], tops[0])
+    # set every field and view by hand: the public constructor would run
+    # the kernel under test before the oracle's own scan could disagree
+    L = object.__new__(FiniteLattice)
+    vars(L).update(
+        elements=tuple(elements),
+        ups=tuple(sum(1 << b for b in range(n) if le(a, b))
+                  for a in range(n)),
+        downs=tuple(sum(1 << b for b in range(n) if le(b, a))
+                    for a in range(n)),
+        leq=frozenset(rel), join=tuple(map(tuple, join)),
+        meet=tuple(map(tuple, meet)), bot=bots[0], top=tops[0])
+    return L
 
 
 def set_lower_covers(L: FiniteLattice, a: int) -> list[int]:

@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from tirs import fixtures
-from tirs.errors import InvalidInput, TirsError
+from tirs import fixtures, lattice
+from tirs.errors import InvalidInput, NotALattice, TirsError
 from tirs.functors import (FrameMorphism, GraphMorphism, _is_frame_iso,
                            _is_graph_iso, _permutes, frame_iso, gr,
                            graph_iso, h_set, rho, validate_frame_morphism,
@@ -571,12 +571,12 @@ def families():
 
 def assert_lattice_kernels(L):
     """Every mask kernel on L equals its set-based oracle."""
-    # the oracle passes its scanned tables and bounds to the public
-    # constructor, which checks them against the views
+    # equality sees only (elements, ups): the oracle's scanned masks,
+    # tables and bounds are compared one by one
     want = set_finish_lattice(L.elements, L.leq)
     assert _finish_lattice(L.elements, L.leq) == want
-    assert (L.join, L.meet, L.bot, L.top) == \
-        (want.join, want.meet, want.bot, want.top)
+    assert (L.downs, L.join, L.meet, L.bot, L.top) == \
+        (want.downs, want.join, want.meet, want.bot, want.top)
     for a in range(L.n):
         assert L.up(a) == {b for b in range(L.n) if (a, b) in L.leq}
         assert L.down(a) == {b for b in range(L.n) if (b, a) in L.leq}
@@ -613,6 +613,20 @@ def test_lattice_tables_match_the_scan_on_all_small_orders():
         seen += 1
         assert_lattice_kernels(got)
     assert seen > 0
+
+
+def test_the_lattice_oracle_runs_without_the_kernel(monkeypatch):
+    """A kernel that rejects every order cannot make the oracle reject too:
+    set_finish_lattice never calls _finish_lattice."""
+    def reject(elements, rel):
+        raise NotALattice(tuple(elements[:2]), "join")
+
+    L = fixtures.n5()
+    monkeypatch.setattr(lattice, "_finish_lattice", reject)
+    want = set_finish_lattice(L.elements, L.leq)
+    assert (want.ups, want.join, want.meet) == (L.ups, L.join, L.meet)
+    assert outcome(lattice._finish_lattice, L.elements, L.leq) != \
+        outcome(set_finish_lattice, L.elements, L.leq)
 
 
 def test_errors_and_witnesses_match_on_all_relations():

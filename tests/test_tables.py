@@ -205,11 +205,14 @@ def test_lattice_fields_are_the_defining_data():
 
 
 def test_a_directly_built_lattice_derives_its_masks():
-    """The public constructor, given the pairs and tables, derives the same
-    masks and bounds as build_lattice."""
+    """The public constructor, given the pairs and the tables of the
+    set-based scan, derives the same masks and bounds as build_lattice."""
     L = fixtures.n5()
-    direct = set_finish_lattice(L.elements, L.leq)
-    assert (direct.ups, direct.downs) == (L.ups, L.downs)
+    scan = set_finish_lattice(L.elements, L.leq)
+    direct = FiniteLattice(L.elements, scan.leq, scan.join, scan.meet,
+                           scan.bot, scan.top)
+    assert (direct.ups, direct.downs) == (scan.ups, scan.downs) == \
+        (L.ups, L.downs)
     assert direct.ups == order_masks(direct.n, L.leq)
     assert (direct.bot, direct.top) == (L.bot, L.top)
     assert direct.irreducible_masks == L.irreducible_masks
