@@ -208,6 +208,15 @@ class TestExtensionBody:
         assert str(err.value) == ("not an embedding: Witness(condition="
                                   "'injective', elements=())")
 
+    def test_closed_images_in_a_bijection_that_reverses_the_order(self):
+        """A bijection onto the closed sets is not yet an embedding: the
+        first failure of the full check is named."""
+        with pytest.raises(AssertionError) as err:
+            _extension(fixtures.c3(), self.polarity_frame_of_c3(),
+                       [0b111, 0b011, 0b001])
+        assert str(err.value) == ("not an embedding: Witness(condition="
+                                  "'bot', elements=('0',))")
+
     def test_an_embedding_that_is_not_onto(self):
         with pytest.raises(EmbeddingNotOnto) as err:
             _extension(fixtures.c2(), self.polarity_frame_of_c3(),
