@@ -17,7 +17,7 @@ from .lattice import (CheckReport, FiniteLattice, LatticeEmbedding, Witness,
                       _meet, _transpose, bits, closed_under, irreducibles)
 from .ploscica import _generators, dual_graph
 from .structures import Frame, _names
-from .functors import rho
+from .functors import _permutes, rho
 
 
 def _indices(index, points, sort: str) -> list[int]:
@@ -47,15 +47,16 @@ def closure(f: Frame, A) -> frozenset[str]:
     return galois_down(f, galois_up(f, A))
 
 
-def _set_name(s) -> str:
-    return "{" + ",".join(sorted(s)) + "}"
-
-
 def inclusion_lattice(masks, points):
     """The sets of a family of masks over points, in (size, sorted members)
     order, and the lattice they form under inclusion with each set named
     by its members.  The family is not scanned: a closure system (closed
     under intersection, with the full set) is a lattice, as is its dual."""
+    return _inclusion(masks, points)[1:]
+
+
+def _inclusion(masks, points):
+    """The masks in inclusion_lattice's order, its sets and its lattice."""
     rank = sorted(range(len(points)), key=points.__getitem__)
     members = {m: [points[i] for i in rank if m >> i & 1] for m in masks}
     masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
@@ -63,13 +64,13 @@ def inclusion_lattice(masks, points):
     # that hold all its points
     holds = _transpose(masks, len(points))
     ups = [_meet(holds, bits(m), len(masks)) for m in masks]
-    names, first = [_set_name(members[m]) for m in masks], {}
+    names, first = ["{" + ",".join(members[m]) + "}" for m in masks], {}
     sets = [frozenset(members[m]) for m in masks]
     for s, name in zip(sets, names):  # a "," in a point name can collide
         if first.setdefault(name, s) != s:
             raise InvalidInput(f"sets {sorted(first[name])} and {sorted(s)} "
                                f"are both named {name}")
-    return sets, FiniteLattice._from_masks(names, ups)
+    return masks, sets, FiniteLattice._from_masks(names, ups)
 
 
 @dataclass(frozen=True)
@@ -101,17 +102,16 @@ def closed_sets(f: Frame) -> GaloisLattice:
             raise AssertionError(f"generated set {sorted(_names(s, f.x1))} "
                                  f"is not closed")
 
-    sets, lat = inclusion_lattice(family, f.x1)
-
-    j = frozenset(_set_name(_names(_close(f, 1 << x), f.x1))
-                  for x in range(len(f.x1)))
-    m = frozenset(_set_name(f.col(y)) for y in f.x2)
+    order, sets, lat = _inclusion(family, f.x1)
+    name = dict(zip(order, lat.elements))
+    j = frozenset(name[_close(f, 1 << x)] for x in range(len(f.x1)))
+    m = frozenset(map(name.__getitem__, f.cols))
     return GaloisLattice(f, tuple(sets), lat, j, m)
 
 
 def irreducibles_of_galois(gl: GaloisLattice):
     """J/M-irreducibles by the closure/extent formulas, cross-checked
-    against the independent cover-count computation on the lattice view."""
+    against the irreducibles the lattice view finds from its own masks."""
     j, m = gl.j_infty, gl.m_infty
     j_ind, m_ind = irreducibles(gl.as_lattice)
     if j != j_ind or m != m_ind:
@@ -164,6 +164,9 @@ def _extension(L: FiniteLattice, frame: Frame, images):
             raise AssertionError(f"image of {L.name(a)} is not a closed set")
         emb_map.append(index[image])
     emb = LatticeEmbedding(L, gl.as_lattice, tuple(emb_map))
+    # a bijection that carries the order is a lattice isomorphism
+    if _permutes(emb.map, L.ups, emb.target.ups):
+        return emb, gl
     rep = emb.validate()
     if not rep:
         raise AssertionError(f"not an embedding: {rep.witnesses[0]}")

@@ -101,8 +101,8 @@ def _dumps(v, pad: str = "") -> str:
             right = {b: f"{_q(b)}\n{inner}]"
                      for b in set(map(itemgetter(1), v))}
             items = [left[a] + right[b] for a, b in v]
-        else:
-            items = [_dumps(x, inner) for x in v]
+        else:  # a name is quoted in place: a dual graph's meta has many
+            items = [_q(x) if type(x) is str else _dumps(x, inner) for x in v]
         return f"[\n{inner}{sep.join(items)}\n{pad}]"
     return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 

@@ -2,10 +2,11 @@
 filters/ideals, embeddings, density/compactness/distributivity checks.
 
 Elements are referenced internally by index (input order); all public output
-uses names.  Every value is immutable after construction.  A lattice holds
-its order once, as int bitmasks over element indices, on which the covers,
-irreducibles, maximal pairs and the iso search run; the order pairs and
-the join/meet tables are views of those masks, built on first read.
+uses names, and no value changes after construction.  A lattice holds its
+order once, as int bitmasks over element indices, on which the covers, the
+irreducibles (a is join-irreducible iff down(a) minus a is a down-set: one
+lookup each), maximal pairs and the iso search run; the order pairs and the
+join/meet tables are views of those masks, built on first read.
 """
 
 from __future__ import annotations
@@ -100,19 +101,19 @@ class FiniteLattice:
 
     @cached_property
     def irreducible_masks(self) -> tuple[int, int]:
-        """Join- and meet-irreducibles (one lower/upper cover) as masks."""
-        n = range(self.n)
-        return (sum(1 << a for a in n if len(self.lower_covers(a)) == 1),
-                sum(1 << a for a in n if len(self.upper_covers(a)) == 1))
+        """Masks of J and M: a is in J iff downs[a] ^ 1 << a is a down-mask."""
+        return tuple(sum(1 << a for a, m in enumerate(ms) if m ^ 1 << a in k)
+                     for ms in (self.downs, self.ups) for k in [set(ms)])
 
     @cached_property
     def maximal_masks(self) -> tuple[int, ...]:
         """Bit y of row x is set iff (up x, down y) is a maximal disjoint
         filter-ideal pair: x is minimal outside down y, and y maximal
-        outside up x."""
-        ups, downs, n = self.ups, self.downs, range(self.n)
-        return tuple(sum(1 << y for y in n if downs[x] & ~downs[y] == 1 << x
-                         and ups[y] & ~ups[x] == 1 << y) for x in n)
+        outside up x, so x is in J and y in M, the only pairs tried."""
+        ups, downs, (js, ms) = self.ups, self.downs, self.irreducible_masks
+        return tuple(js >> x & 1 and sum(
+            1 << y for y in bits(ms) if downs[x] & ~downs[y] == 1 << x
+            and ups[y] & ~ups[x] == 1 << y) for x in range(self.n))
 
     # -- element access -------------------------------------------------
 
@@ -163,12 +164,12 @@ class FiniteLattice:
         return self.downs.index(_meet(self.downs, xs, self.n))
 
     def to_json(self) -> dict:
-        nm = self.name
-        return {
-            "elements": list(self.elements),
-            "covers": [[nm(a), nm(b)] for a, b in self.covers()],
-            "leq": sorted([nm(a), nm(b)] for a, b in self.leq),
-        }
+        from .structures import _walk  # structures imports this module
+        nm, e = self.name, self.elements
+        leq = [[e[a], b] for a, bs in _walk(self.ups, e, e, e) for b in bs]
+        return {"elements": list(e),
+                "covers": [[nm(a), nm(b)] for a, b in self.covers()],
+                "leq": leq}
 
 
 @dataclass(frozen=True)
@@ -294,15 +295,20 @@ def mask_iso(rows1, cols1, rows2, cols2) -> Optional[dict[int, int]]:
     return assign if bt(0) else None
 
 
-def transitive_closure(n: int, pairs) -> set[tuple[int, int]]:
-    """Transitive closure of a relation on range(n): Warshall on row masks."""
+def _warshall(n: int, pairs) -> list[int]:
+    """The row masks of the transitive closure of a relation on range(n)."""
     rows = list(order_masks(n, pairs))
     for k in range(n):
         bit, row_k = 1 << k, rows[k]
         for i in range(n):
             if rows[i] & bit:
                 rows[i] |= row_k
-    return {(a, b) for a in range(n) for b in bits(rows[a])}
+    return rows
+
+
+def transitive_closure(n: int, pairs) -> set[tuple[int, int]]:
+    """Transitive closure of a relation on range(n): Warshall on row masks."""
+    return {(a, b) for a, r in enumerate(_warshall(n, pairs)) for b in bits(r)}
 
 
 def lattice_from_leq(elements, leq_pairs) -> FiniteLattice:
@@ -336,17 +342,20 @@ def build_lattice(elements, covers) -> FiniteLattice:
     """
     elements, pairs = _index_pairs(elements, covers, "cover")
     n = len(elements)
-    rel = transitive_closure(n, pairs | {(i, i) for i in range(n)})
-    return _finish_lattice(elements, frozenset(rel))
+    return _scan(elements, _warshall(n, pairs | {(i, i) for i in range(n)}))
 
 
 def _finish_lattice(elements, rel) -> FiniteLattice:
-    """The lattice of a reflexive, transitive relation on element indices,
-    given as index pairs.  a and b have a join iff some element's up-mask
-    is ups[a] & ups[b], and a meet iff some element's down-mask is
-    downs[a] & downs[b].  Errors name the lowest cycle pair, or the first
-    pair in scan order without a join or a meet (join first)."""
-    L = FiniteLattice._from_masks(elements, order_masks(len(elements), rel))
+    """_scan of a relation given as index pairs."""
+    return _scan(elements, order_masks(len(elements), rel))
+
+
+def _scan(elements, ups) -> FiniteLattice:
+    """The lattice of a reflexive, transitive relation given as row masks:
+    a and b have a join iff ups[a] & ups[b] is an up-mask, and a meet iff
+    downs[a] & downs[b] is a down-mask.  Errors name the lowest cycle pair,
+    or the first pair in scan order lacking a join or a meet (join first)."""
+    L = FiniteLattice._from_masks(elements, ups)
     ups, downs, n = L.ups, L.downs, L.n
     for a in range(n):
         cyc = ups[a] & downs[a] & ~(1 << a)

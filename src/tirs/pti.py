@@ -3,16 +3,16 @@ the bridge suite tying the two together through the closed-set lattice.
 
 PTi asks that every pair (x, y) of a join-irreducible x and a
 meet-irreducible y with x not below y lies below a maximal disjoint pair
-(up w, down z), bit z of maximal_masks[w]: w <= x and y <= z.  In a finite
-lattice w and z are irreducible (were w the join of two elements below it,
-both would lie below z, and so would w), and as every element is a join of
-join-irreducibles and a meet of meet-irreducibles, maximality over the
-irreducibles is maximality over all elements.  It asks every v > z, not
-every v > y, to lie above w, as the frame form does via the row/column
-translation lemma; asked from y, even 5-element lattices would fail while
-their frames satisfy (Ti).
+(up w, down z), bit z of maximal_masks[w]: w <= x and y <= z.  Such w and z
+are irreducible (see FiniteLattice.maximal_masks), and as every element is
+a join of join-irreducibles and a meet of meet-irreducibles, maximality
+over the irreducibles is maximality over all elements.  The reach mask
+above[y] holds the w of the pairs with z >= y: a witness is the lowest w in
+down x & above[y], then the lowest z >= y in w's row, as a w-then-z scan
+finds.  PTi asks every v > z, not every v > y, to lie above w, as the frame
+form does via the row/column translation lemma; from y, 5-element lattices
+would fail while their frames satisfy (Ti).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -23,6 +23,7 @@ from .lattice import CheckReport, FiniteLattice, Witness, bits
 from .structures import Frame, _collect, check_frame, ti_failures
 from .galois import check_perfect, closed_sets, frame_of_perfect
 from .functors import frame_iso
+from .ploscica import _generators
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,18 @@ def _pti_pairs(C: FiniteLattice, all_witnesses: bool):
     # maximal[w] masks the z of the maximal pairs (up w, down z)
     ups, downs, maximal = C.ups, C.downs, C.maximal_masks
     jmask, mmask = C.irreducible_masks
-    witnesses = []
-    failures = []
+    above = [0] * C.n
+    for w, z in _generators(C):
+        for y in bits(downs[z] & mmask):
+            above[y] |= 1 << w
+    witnesses, failures = [], []
     for x in bits(jmask):
         for y in bits(mmask & ~ups[x]):
-            found = next(((w, z) for w in bits(downs[x])
-                          for z in bits(ups[y] & maximal[w])), None)
-            if found:
-                witnesses.append(PTiWitness(C.name(x), C.name(y),
-                                            C.name(found[0]),
-                                            C.name(found[1]), "satisfied"))
+            if ws := downs[x] & above[y]:  # the lowest w, then its lowest z
+                w = next(bits(ws))
+                z = next(bits(ups[y] & maximal[w]))
+                witnesses.append(PTiWitness(C.name(x), C.name(y), C.name(w),
+                                            C.name(z), "satisfied"))
             else:
                 witnesses.append(PTiWitness(C.name(x), C.name(y), None, None,
                                             "unsatisfiable-pair"))

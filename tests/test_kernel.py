@@ -654,6 +654,21 @@ def test_lattice_families_match_the_set_kernels():
         assert_lattice_kernels(L)
 
 
+def test_irreducibles_maximal_pairs_and_pti_match_on_all_small_lattices():
+    """The O(n) irreducibility test, the J x M maximal-pair table and the
+    reach masks of PTi against their set-based oracles, with the same
+    witnesses in the same order, on every lattice of up to 8 elements."""
+    lats = [L for n in range(1, 9)
+            for L in gen_lattice(GenSpec("lattice", n, exhaustive=True))]
+    assert len(lats) == 300
+    for L in lats:
+        assert irreducibles(L) == set_irreducibles(L)
+        assert [(x, y) for x, row in enumerate(L.maximal_masks)
+                for y in bits(row)] == set_maximal_pairs(L)
+        assert _pti_pairs(L, True) == set_pti_pairs(L, True)
+        assert _pti_pairs(L, False) == set_pti_pairs(L, False)
+
+
 def test_the_polarity_closure_of_a_point_is_its_down_set():
     """canext_polarity sends a to the mask down(a), which is the Galois
     closure of {F_a} in the polarity frame, on every lattice of families()

@@ -233,6 +233,27 @@ def test_the_order_views_are_built_on_first_read():
         assert {"leq", "join", "meet"} <= set(vars(L))
 
 
+def test_the_extensions_and_pti_build_no_order_view():
+    """Both canonical extensions and check_pti decide on the masks: on a
+    lattice they accept, neither it nor an extension holds a join or meet
+    table or the leq pairs afterwards, and writing an extension out builds
+    no leq view, though its JSON lists the leq pairs in sorted order."""
+    views = {"join", "meet", "leq"}
+    for L in [*fixtures.all_lattices().values(),
+              *gen_lattice(GenSpec("lattice", 7, count=3))]:
+        (_, gl_t), (_, gl_p) = galois.canext_tandem(L), \
+            galois.canext_polarity(L)
+        assert pti.check_pti(L)[0]
+        for C in (gl_t.as_lattice, gl_p.as_lattice):
+            assert pti.check_pti(C)[0]
+            io.dump_structure(C)
+        io.dump_structure(gl_t)
+        for C in (L, gl_t.as_lattice, gl_p.as_lattice):
+            assert not views & set(vars(C))
+            assert C.to_json()["leq"] == sorted([C.name(a), C.name(b)]
+                                                for a, b in C.leq)
+
+
 def test_canext_tandem_finds_the_maximal_pairs_once(monkeypatch):
     """The dual graph and the embedding of canext_tandem read one table of
     maximal pairs."""
