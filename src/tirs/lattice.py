@@ -111,8 +111,9 @@ class FiniteLattice:
         filter-ideal pair: x is minimal outside down y, and y maximal
         outside up x, so x is in J and y in M, the only pairs tried."""
         ups, downs, (js, ms) = self.ups, self.downs, self.irreducible_masks
+        ys = list(bits(ms))
         return tuple(js >> x & 1 and sum(
-            1 << y for y in bits(ms) if downs[x] & ~downs[y] == 1 << x
+            1 << y for y in ys if downs[x] & ~downs[y] == 1 << x
             and ups[y] & ~ups[x] == 1 << y) for x in range(self.n))
 
     # -- element access -------------------------------------------------
@@ -165,11 +166,10 @@ class FiniteLattice:
 
     def to_json(self) -> dict:
         from .structures import _walk  # structures imports this module
-        nm, e = self.name, self.elements
+        e = self.elements
         leq = [[e[a], b] for a, bs in _walk(self.ups, e, e, e) for b in bs]
         return {"elements": list(e),
-                "covers": [[nm(a), nm(b)] for a, b in self.covers()],
-                "leq": leq}
+                "covers": [[e[a], e[b]] for a, b in self.covers()], "leq": leq}
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,15 @@ the bridge suite tying the two together through the closed-set lattice.
 PTi asks that every pair (x, y) of a join-irreducible x and a
 meet-irreducible y with x not below y lies below a maximal disjoint pair
 (up w, down z), bit z of maximal_masks[w]: w <= x and y <= z.  Such w and z
-are irreducible (see FiniteLattice.maximal_masks), and as every element is
-a join of join-irreducibles and a meet of meet-irreducibles, maximality
-over the irreducibles is maximality over all elements.  The reach mask
-above[y] holds the w of the pairs with z >= y: a witness is the lowest w in
-down x & above[y], then the lowest z >= y in w's row, as a w-then-z scan
-finds.  PTi asks every v > z, not every v > y, to lie above w, as the frame
-form does via the row/column translation lemma; from y, 5-element lattices
-would fail while their frames satisfy (Ti).
+are irreducible (FiniteLattice.maximal_masks); as every element is a join
+of join-irreducibles and a meet of meet-irreducibles, maximality over the
+irreducibles is maximality over all elements.  above[y] masks the w of the
+pairs with z >= y: the witness is the lowest w in down x & above[y], then
+the lowest z >= y in w's row.  PTi asks every v > z, not every v > y, to
+lie above w, as the frame form does via the row/column translation lemma;
+asked from y, 5-element lattices would fail while their frames hold (Ti).
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass
