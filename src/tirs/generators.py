@@ -6,9 +6,11 @@ shuffled order, is included with probability 1/2, then the relation is
 transitively closed.  Identical GenSpec values yield identical output.
 
 Generation works on int masks and builds a structure only once it is kept:
-a random lattice is sized on its family of sets before it is built, an RS
-frame is decided on its masks, and an exhaustive lattice of n elements is
-a poset class of n - 2 points between a bottom and a top.  Exhaustive
+a random lattice attempt takes its principal downsets from Warshall's rows
+of the drawn pairs reversed, with no Graph, and is sized on its family of
+sets before it is built; an RS frame is decided on its masks; and an
+exhaustive lattice of n elements is a poset class of n - 2 points between
+a bottom and a top.  Exhaustive
 poset classes grow by one-point extension: a new maximal point goes above
 each downset of each class one point smaller, and the candidates are
 deduped on a canonical labelling, the least pair mask over the natural
@@ -25,8 +27,8 @@ from typing import Optional
 
 from .errors import InvalidInput, NotALattice, SizeUnreachable
 from .galois import inclusion_lattice
-from .lattice import (FiniteLattice, _finish_lattice, _transpose, bits,
-                      closed_under, is_distributive, transitive_closure)
+from .lattice import (FiniteLattice, _finish_lattice, _transpose, _warshall,
+                      bits, closed_under, is_distributive, transitive_closure)
 from .ploscica import dual_graph
 from .structures import Frame, Graph, _is_rs
 
@@ -66,10 +68,14 @@ def _expect_kind(spec: GenSpec, kinds):
         raise InvalidInput(f"not a {' or '.join(kinds)} spec: {spec.kind}")
 
 
-def _random_strict_order(n: int, rng: random.Random) -> set[tuple[int, int]]:
+def _random_pairs(n: int, rng: random.Random) -> list[tuple[int, int]]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
-    return transitive_closure(n, {p for p in pairs if rng.random() < 0.5})
+    return [p for p in pairs if rng.random() < 0.5]
+
+
+def _random_strict_order(n: int, rng: random.Random) -> set[tuple[int, int]]:
+    return transitive_closure(n, _random_pairs(n, rng))
 
 
 def _poset_graph(n: int, strict: set[tuple[int, int]]) -> Graph:
@@ -149,15 +155,14 @@ def gen_poset(spec: GenSpec) -> list[Graph]:
             for _ in range(spec.count)]
 
 
-def _lattice_sets(g: Graph, distributive: bool, limit=None) -> frozenset[int]:
+def _lattice_sets(downs, distributive: bool, limit=None) -> frozenset[int]:
     """As masks, the sets whose inclusion lattice is the downset lattice of
-    the poset graph g (unions of principal downsets), or else its
+    the poset with principal downsets downs (unions of them), or else its
     Dedekind-MacNeille completion: the Galois-closed sets of the order
     polarity (P, P, <=); cut short once there are more than limit."""
     if distributive:
-        return closed_under(int.__or__, {0, *g.pred}, limit)
-    return closed_under(int.__and__, {(1 << len(g.vertices)) - 1, *g.pred},
-                        limit)
+        return closed_under(int.__or__, {0, *downs}, limit)
+    return closed_under(int.__and__, {(1 << len(downs)) - 1, *downs}, limit)
 
 
 def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
@@ -196,10 +201,12 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
             raise SizeUnreachable(
                 f"no {spec.kind} of size {spec.size} after {attempts} tries")
         base = max(1, spec.size - rng.randrange(0, 3))
-        g = _poset_graph(base, _random_strict_order(base, rng))
-        family = _lattice_sets(g, spec.kind != "lattice", spec.size)
+        downs = _warshall(base, [(j, i) for i, j in _random_pairs(base, rng)]
+                          + [(i, i) for i in range(base)])
+        family = _lattice_sets(downs, spec.kind != "lattice", spec.size)
         if len(family) == spec.size:
-            out.append(inclusion_lattice(family, g.vertices)[1])
+            points = tuple(f"v{i}" for i in range(base))
+            out.append(inclusion_lattice(family, points)[1])
     return out
 
 

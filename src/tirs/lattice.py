@@ -38,7 +38,7 @@ class CheckReport:
 
     @classmethod
     def ok(cls):
-        return cls(True, ())
+        return _OK
 
     @classmethod
     def fail(cls, witnesses):
@@ -49,6 +49,9 @@ class CheckReport:
                 "witnesses": [{"condition": w.condition,
                                "elements": list(w.elements)}
                               for w in self.witnesses]}
+
+
+_OK = CheckReport(True)  # frozen, so every passing check can share it
 
 
 @dataclass(frozen=True, init=False)
@@ -232,8 +235,10 @@ def _transpose(rows, width: int) -> tuple[int, ...]:
     if len(rows) * width <= 64:
         cols = [0] * width
         for i, row in enumerate(rows):
-            for j in bits(row):
-                cols[j] |= 1 << i
+            while row:  # bits() inlined
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << i
+                row ^= low
         return tuple(cols)
     digits = [format(row, f"0{width}b")[::-1] for row in rows]
     return tuple(int("".join(col)[::-1], 2) for col in zip(*digits))

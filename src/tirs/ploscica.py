@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateLattice, InvalidInput, MismatchedCarrier
 from .lattice import FiniteLattice, bits
-from .structures import Graph, _names, subset
+from .structures import Graph, _names
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def mph_leq(f: MaximalPair, g: MaximalPair) -> bool:
     ones(g)."""
     if f.lattice is not g.lattice and f.lattice != g.lattice:
         raise MismatchedCarrier("pairs over different lattices")
-    return subset(f.lattice.ups[f.x], g.lattice.ups[g.x])
+    return not f.lattice.ups[f.x] & ~g.lattice.ups[g.x]
 
 
 def dual_graph(L: FiniteLattice) -> Graph:
@@ -82,9 +82,10 @@ def dual_graph(L: FiniteLattice) -> Graph:
     for j, (_, y) in enumerate(pairs):
         at_y[y] |= 1 << j
     full = (1 << len(pairs)) - 1
-    rows = [full & ~sum(at_y[y] for y in bits(up)) for up in L.ups]  # by x_f
-    ones, zeros = ([sorted(_names(m, L.elements)) for m in masks]
-                   for masks in (L.ups, L.downs))
+    xs, ys = {x for x, _ in pairs}, {y for _, y in pairs}
+    rows = {x: full & ~sum(at_y[y] for y in bits(L.ups[x])) for x in xs}
+    ones, zeros = ({a: sorted(_names(masks[a], L.elements)) for a in at}
+                   for masks, at in ((L.ups, xs), (L.downs, ys)))
     meta = {name: {"ones": ones[x][:], "zeros": zeros[y][:]}
             for name, (x, y) in zip(names, pairs)}
     return Graph._from_masks(names, [rows[x] for x, _ in pairs], meta)

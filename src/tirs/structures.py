@@ -5,8 +5,9 @@ two-sorted structure (X1, X2, R) with R between the sorts.  Each holds its
 relation as int bitmasks, and the tables derived from them as cached
 properties.  The checkers evaluate reflexivity, separation (S), reducedness
 (R) and maximal extension (Ti) on those masks, reporting the first witness
-in scan order (all witnesses behind a flag).  Frame (Ti) is decided against
-the H-set: every non-related pair must lie below an H-pair.
+in scan order (all witnesses behind a flag).  A frame's tables come from
+one pass over the pairs of its rows and of its columns, and frame (Ti) is
+decided against the H-set: every non-related pair must lie below an H-pair.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import InvalidInput
-from .lattice import CheckReport, Witness, _meet, _transpose, bits
+from .lattice import CheckReport, Witness, _transpose, bits
 
 
 def _names(mask: int, names) -> frozenset[str]:
@@ -207,17 +208,8 @@ class ConditionReport:
 
 
 def _collect(gen, all_witnesses):
-    out = []
-    for w in gen:
-        out.append(w)
-        if not all_witnesses:
-            break
-    return CheckReport.ok() if not out else CheckReport.fail(out)
-
-
-def subset(a: int, b: int) -> bool:
-    """Mask a is a subset of mask b."""
-    return not a & ~b
+    out = tuple(gen if all_witnesses else itertools.islice(gen, 1))
+    return CheckReport.fail(out) if out else CheckReport.ok()
 
 
 def _supersets(masks) -> list[int]:
@@ -226,7 +218,7 @@ def _supersets(masks) -> list[int]:
     held = {}  # each distinct mask -> the indices holding it
     for j, b in enumerate(masks):
         held[b] = held.get(b, 0) | 1 << j
-    up = {a: sum(js for b, js in held.items() if subset(a, b)) for a in held}
+    up = {a: sum(js for b, js in held.items() if not a & ~b) for a in held}
     return [up[a] for a in masks]
 
 
@@ -241,9 +233,17 @@ def _upper_meets(masks, width: int):
     """(up, u, bad): up[x] masks the i whose mask contains masks[x], u[x] is
     the AND of their masks over range(width), x's own left out, and bad
     lists the x at which (R) fails: no point outside masks[x] is in u[x]."""
-    up = _supersets(masks)
-    u = [_meet(masks, bits(s & ~(1 << x)), width) for x, s in enumerate(up)]
-    return up, u, [x for x, m in enumerate(masks) if not ~m & u[x]]
+    full, up, u = (1 << width) - 1, [], []
+    for x, a in enumerate(masks):
+        s, m = 0, full
+        for i, b in enumerate(masks):
+            if not a & ~b:
+                s |= 1 << i
+                if i != x:
+                    m &= b
+        up.append(s)
+        u.append(m)
+    return up, u, [x for x, a in enumerate(masks) if not ~a & u[x]]
 
 
 def _is_rs(rows, cols) -> bool:
@@ -308,9 +308,8 @@ class _HTable:
     def __init__(self, f: Frame):
         self.up1, self.u1, self.r1 = _upper_meets(f.rows, len(f.x2))
         self.up2, self.u2, self.r2 = _upper_meets(f.cols, len(f.x1))
-        self.h = [sum(1 << y for y in bits(~row & self.u1[x])
-                      if self.u2[y] >> x & 1)
-                  for x, row in enumerate(f.rows)]
+        self.h = [u & ~row & t for row, u, t in zip(
+            f.rows, self.u1, _transpose(self.u2, len(f.x1)))]
 
 
 def check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
@@ -318,8 +317,10 @@ def check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
     additionally (Ti).  The reflexive slot is vacuously true (no reflexivity
     notion on two-sorted structures)."""
     t = f.table
+    # two equal masks make (R) fail at both: without an (R) failure, no (S)
     cond_s = itertools.chain(_equal_pairs(f.rows, f.x1, "S(i)"),
-                             _equal_pairs(f.cols, f.x2, "S(ii)"))
+                             _equal_pairs(f.cols, f.x2, "S(ii)")
+                             ) if t.r1 or t.r2 else ()
     cond_r = itertools.chain((Witness("R(i)", (f.x1[x],)) for x in t.r1),
                              (Witness("R(ii)", (f.x2[y],)) for y in t.r2))
     return ConditionReport(

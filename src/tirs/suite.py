@@ -63,7 +63,8 @@ def _frames(seed, maxsize):
     frames += [rho(dual_graph(L)) for L in _lattices(seed, maxsize)]
     frames += gen_rs_frame(GenSpec("rs-frame", 3, seed, count=1,
                                    exhaustive=True))
-    return tuple(f for f in frames if check_frame(f).is_rs)
+    # RS without the (Ti) scan: (R) fails wherever (S) does
+    return tuple(f for f in frames if not (f.table.r1 or f.table.r2))
 
 
 def task_lattice_laws(seed):

@@ -19,8 +19,7 @@ from tirs.generators import _poset_graph, _random_strict_order
 from tirs.lattice import (CheckReport, FiniteLattice, Witness, _finish_lattice,
                           bits, is_distributive, lattice_iso)
 from tirs.pti import PTiWitness
-from tirs.structures import (ConditionReport, Frame, Graph, check_frame,
-                             subset)
+from tirs.structures import ConditionReport, Frame, Graph, check_frame
 
 
 def subsets(xs):
@@ -798,7 +797,7 @@ def frozen_inclusion_lattice(family):
     index = {x: i for i, x in enumerate(frozenset().union(*sets))}
     masks = [sum(1 << index[x] for x in s) for s in sets]
     leq = frozenset((i, j) for i, si in enumerate(masks)
-                    for j, sj in enumerate(masks) if subset(si, sj))
+                    for j, sj in enumerate(masks) if not si & ~sj)
     names, first = [_set_name(s) for s in sets], {}
     for s, name in zip(sets, names):  # a "," in a point name can collide
         if first.setdefault(name, s) != s:

@@ -268,7 +268,7 @@ def test_criterion_10_birkhoff_specialization(capsys):
             # edges
             rev = Graph(g.vertices,
                         frozenset((b, a) for a, b in g.edges))
-            downsets = inclusion_lattice(_lattice_sets(rev, True),
+            downsets = inclusion_lattice(_lattice_sets(rev.pred, True),
                                          rev.vertices)[1]
             assert lattice_iso(gl.as_lattice, downsets) is not None
     _gate(10, "on distributive lattices the duality specializes to the "

@@ -2,13 +2,14 @@
 set-based bodies in oracles.py: same verdicts, same witnesses in the same
 order, same tables, frames and isomorphisms, and the same errors."""
 
+import functools
 import itertools
 import json
 import random
 
 import pytest
 
-from tirs import fixtures, lattice
+from tirs import fixtures, lattice, suite
 from tirs.errors import InvalidInput, NotALattice, TirsError
 from tirs.functors import (FrameMorphism, GraphMorphism, _is_frame_iso,
                            _is_graph_iso, _permutes, frame_iso, gr,
@@ -28,7 +29,7 @@ from tirs.lattice import (FiniteLattice, _finish_lattice, bits,
 from tirs.ploscica import dual_graph, maximal_pairs
 from tirs.pti import _pti_pairs, check_pti_frame_form
 from tirs.structures import Frame, Graph, _is_rs, check_frame, \
-    check_graph, is_poset_graph
+    check_graph, is_poset_graph, ti_failures
 
 from oracles import (_enumerate_strict_orders, all_frames, all_graphs,
                      brute_lattice_classes, brute_poset_classes,
@@ -335,7 +336,7 @@ def test_mask_families_give_the_frozenset_lattices():
     for g in graphs:
         for distributive, want in ((True, frozen_downset_lattice(g)),
                                    (False, frozen_dm_completion(g))):
-            got = inclusion_lattice(_lattice_sets(g, distributive),
+            got = inclusion_lattice(_lattice_sets(g.pred, distributive),
                                     g.vertices)[1]
             assert_same_structures([got], [want])
     # bit 0 is b and bit 1 is a, so index order is not name order
@@ -361,9 +362,9 @@ def test_the_closure_matches_the_pairwise_worklist():
         for distributive, base, op in ((True, {0, *g.pred}, int.__or__),
                                        (False, {full, *g.pred}, int.__and__)):
             want = pairwise_closure(base, op)
-            assert _lattice_sets(g, distributive) == want
+            assert _lattice_sets(g.pred, distributive) == want
             for limit in {1, len(want) // 2, len(want) - 1, len(want)}:
-                got = _lattice_sets(g, distributive, limit)
+                got = _lattice_sets(g.pred, distributive, limit)
                 cut = pairwise_closure(base, op, limit=limit)
                 assert (len(got) == limit) == (len(cut) == limit)
                 if len(want) <= limit:
@@ -381,13 +382,45 @@ def test_graph_iso_matches_the_set_search(family):
             assert list((got or {}).items()) == list((want or {}).items())
 
 
-@pytest.mark.parametrize("n1,n2", SHAPES)
-def test_frame_checkers_match_the_set_checkers(n1, n2):
-    for f in all_frames(n1, n2):
+def planted_frames(n):
+    """Seeded n x n frames: random rows (some with an equal pair of rows,
+    an equal pair of columns or a full row planted) and random RS frames."""
+    rng = random.Random(n)
+    x1 = tuple(f"x{i}" for i in range(n))
+    x2 = tuple(f"y{i}" for i in range(n))
+    for k in range(16):
+        rows = [rng.randrange(1 << n) for _ in range(n)]
+        a, b = rng.sample(range(n), 2)
+        if k % 4 == 1:
+            rows[b] = rows[a]
+        elif k % 4 == 2:  # column b becomes a copy of column a
+            rows = [r & ~(1 << b) | (r >> a & 1) << b for r in rows]
+        elif k % 4 == 3:
+            rows[a] = (1 << n) - 1
+        yield Frame._from_masks(x1, x2, rows)
+    yield from gen_rs_frame(GenSpec("rs-frame", n, seed=n, count=4))
+
+
+# every relation of each small shape, planted random frames of 4x4 to 7x7,
+# and the rho frames of the suite's corpus of random lattices
+FRAME_INPUTS = {
+    **{f"{n1}-{n2}": functools.partial(all_frames, n1, n2)
+       for n1, n2 in SHAPES},
+    **{f"random-{n}x{n}": functools.partial(planted_frames, n)
+       for n in range(4, 8)},
+    "rho-suite-0-8": lambda: [rho(dual_graph(L))
+                              for L in suite._lattices(0, 8)]}
+
+
+@pytest.mark.parametrize("frames", FRAME_INPUTS.values(),
+                         ids=list(FRAME_INPUTS))
+def test_frame_checkers_match_the_set_checkers(frames):
+    for f in frames():
         assert check_frame(f, True) == set_check_frame(f, True)
         assert check_frame(f) == set_check_frame(f)
         assert _is_rs(f.rows, f.cols) == set_check_frame(f).is_rs
         assert h_set(f) == set_h_set(f)
+        assert list(ti_failures(f)) == set_ti_failures(f)
         assert [w.elements for w in check_pti_frame_form(f, True).witnesses] \
             == set_ti_failures(f)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from tirs import fixtures
+from tirs import fixtures, ploscica
 from tirs.errors import DegenerateLattice, InvalidInput, MismatchedCarrier
 from tirs.functors import gr
 from tirs.galois import frame_of_perfect
@@ -108,6 +108,24 @@ class TestDualGraph:
     def test_vertex_metadata_carries_the_pair(self):
         g = dual_graph(fixtures.n5())
         assert g.meta["p0"] == {"ones": ["1", "a", "c"], "zeros": ["0", "b"]}
+
+    def test_names_only_the_generators_of_the_pairs(self, monkeypatch):
+        """B_8 has 256 elements and 8 maximal pairs: the ones and zeros of
+        the 16 generators are named, and no list is shared by vertices."""
+        names = []
+
+        def counted(mask, elements, build=ploscica._names):
+            names.append(mask)
+            return build(mask, elements)
+
+        monkeypatch.setattr(ploscica, "_names", counted)
+        els = [format(s, "08b") for s in range(256)]
+        g = dual_graph(build_lattice(els, [
+            (els[s], els[s | 1 << k]) for s in range(256) for k in range(8)
+            if not s >> k & 1]))
+        assert len(g.vertices) == 8 and len(names) == 16
+        lists = [m[k] for m in g.meta.values() for k in ("ones", "zeros")]
+        assert len({id(x) for x in lists}) == 16
 
 
 class TestFrameCorrespondence:

@@ -35,12 +35,15 @@ class Builds:
         self.counts = Counter()
         self._alive = []
         # the H-table per frame, one inclusion table per mask tuple (two per
-        # graph or frame), the down-set masks per lattice (the transpose of
-        # its ups), the irreducibles and the maximal pairs per lattice
+        # graph or frame: _supersets for a graph, _upper_meets for a frame),
+        # the down-set masks per lattice (the transpose of its ups), the
+        # irreducibles and the maximal pairs per lattice
         self._wrap(monkeypatch, structures._HTable, "__init__", "h-table",
                    lambda table, f: f)
         self._wrap(monkeypatch, structures, "_supersets", "supersets",
                    lambda masks: masks)
+        self._wrap(monkeypatch, structures, "_upper_meets", "supersets",
+                   lambda masks, width: masks)
         self._wrap(monkeypatch, lattice, "_transpose", "order",
                    lambda ups, n: ups)
         for attr, table in (("irreducible_masks", "irreducibles"),

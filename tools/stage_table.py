@@ -16,8 +16,10 @@ benchmark's lattice jobs call it, so later stages do reuse what earlier
 ones cached (the lattice's maximal-pair table among them).  The
 generation rows time the GENERATION calls; a random row is one call for
 each of the seeds 0 to 9.  The suite rows build the suite's frame corpus
-(lattices included) at TIRS_SUITE_MAXSIZE=8, and run the pti-condition
-task for seed 0 on that corpus built beforehand.  Each figure is in
+(lattices included) at TIRS_SUITE_MAXSIZE=8, run the pti-condition task
+for seed 0 on that corpus built beforehand, and run check_frame on a
+fresh copy of each frame of that corpus, so that every frame's table is
+built on the clock.  Each figure is in
 milliseconds of time.process_time: the median of every in-process call
 of a row over INTERPRETERS interpreters per tree.  An interpreter calls
 a row at least MIN_CALLS and at most MAX_CALLS times, until BUDGET_MS
@@ -66,7 +68,8 @@ GENERATION = {
 }
 SUITE_FRAMES = "suite._frames(0, 8)"
 PTI_TASK = 'suite.TASKS["pti-condition"](0)'
-ROWS = (*GENERATION, SUITE_FRAMES, PTI_TASK)
+CHECK_FRAMES = "check_frame over suite._frames(0, 8)"
+ROWS = (*GENERATION, SUITE_FRAMES, PTI_TASK, CHECK_FRAMES)
 
 
 def lattice_spec(name):
@@ -106,6 +109,7 @@ def measure_row(row):
     sys.path."""
     from tirs import suite
     from tirs.generators import GenSpec, generate
+    from tirs.structures import Frame, check_frame
 
     def corpus(built):
         suite._lattices.cache_clear()
@@ -120,6 +124,11 @@ def measure_row(row):
         # the task's corpus, built before the clock
         return timed(lambda: corpus(True),
                      lambda _: suite.TASKS["pti-condition"](0))
+    if row == CHECK_FRAMES:
+        frames = suite._frames(0, 8)
+        return timed(lambda: [Frame._from_masks(f.x1, f.x2, f.rows, f.meta)
+                              for f in frames],
+                     lambda fresh: [check_frame(f) for f in fresh])
     kind, size, count, exhaustive = GENERATION[row]
     seeds = [0] if exhaustive else range(10)
     return timed(lambda: [GenSpec(kind, size, seed, count, exhaustive)
