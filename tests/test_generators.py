@@ -79,7 +79,8 @@ class TestLattices:
         vs = ("n1", "n2", "m1", "m2")
         edges = frozenset({(v, v) for v in vs}
                           | {("n1", "m2"), ("n2", "m1")})
-        L = inclusion_lattice(_lattice_sets(Graph(vs, edges).pred, False), vs)[1]
+        L = inclusion_lattice(_lattice_sets(Graph(vs, edges).pred, False),
+                              vs)[1]
         assert L.n == 6
         assert not is_distributive(L)
 
