@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import (HNotPreserved, InvalidInput, IsoVerificationFailed,
                      MismatchedCarrier, NotTiRS, NotWellDefined)
-from .lattice import CheckReport, Witness, mask_iso
+from .lattice import CheckReport, Witness, _memo, mask_iso
 from .structures import (ConditionReport, Frame, Graph, _collect, _walk, bits,
                          check_frame, check_graph, h_set)
 
@@ -98,13 +98,12 @@ def _classes(vertices, keys):
             {v: vertices[first[k]] for v, k in zip(vertices, keys)})
 
 
+@_memo
 def rho(g: Graph) -> Frame:
     """The associated frame of a graph: X1 = row classes, X2 = column
-    classes, related iff the underlying pair is NOT an edge.
-
-    Class membership tables are attached as frame metadata under "class1"
-    and "class2".
-    """
+    classes, related iff the underlying pair is NOT an edge, with the class
+    membership tables as metadata under "class1" and "class2".  Built once
+    per graph (lattice._memo): the frame is shared, not to be mutated."""
     vs, succ = g.vertices, g.succ
     reps1, cls1 = _classes(vs, succ)
     reps2, cls2 = _classes(vs, g.pred)
@@ -123,7 +122,8 @@ def _pair_name(x: str, y: str) -> str:
 
 def gr(f: Frame) -> Graph:
     """The associated graph of a frame: vertices are the H-pairs, with an
-    edge ((x, y), (w, z)) iff x is not related to z."""
+    edge ((x, y), (w, z)) iff x is not related to z.  Not cached on f: one
+    graph per corpus frame kept alive raised the suite's peak memory."""
     hs = [(x, y) for x, h in enumerate(f.table.h) for y in bits(h)]
     at_z = [0] * len(f.x2)  # at_z[z] masks the H-pairs (w, z)
     for k, (_, z) in enumerate(hs):

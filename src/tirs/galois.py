@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .errors import (EmbeddingNotOnto, InvalidInput, IrreducibleMismatch,
                      NotPerfect)
 from .lattice import (CheckReport, FiniteLattice, LatticeEmbedding, Witness,
-                      _meet, _transpose, bits, closed_under, irreducibles)
+                      _meet, _memo, _transpose, bits, closed_under,
+                      irreducibles)
 from .ploscica import _generators, dual_graph
 from .structures import Frame, _names
 from .functors import _permutes, rho
@@ -95,6 +96,7 @@ def closed_sets(f: Frame) -> GaloisLattice:
 
     Generated as the intersection closure of the column extents together
     with the full carrier; each member is verified to be Galois-closed.
+    Built on every call: its base_frame points back at f (lattice._memo).
     """
     family = closed_under(int.__and__, {(1 << len(f.x1)) - 1, *f.cols})
     for s in family:
@@ -132,9 +134,10 @@ def _generation_failures(C: FiniteLattice):
             yield "meet", a
 
 
+@_memo
 def check_perfect(C: FiniteLattice) -> CheckReport:
     """Every element is a join of join-irreducibles and a meet of
-    meet-irreducibles (automatic for finite lattices, checked anyway)."""
+    meet-irreducibles (automatic if finite, checked once per lattice)."""
     bad = [Witness(f"{kind}-of-irreducibles", (C.name(a),))
            for kind, a in _generation_failures(C)]
     return CheckReport.ok() if not bad else CheckReport.fail(bad)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInput, NoBounds, NotALattice, NotAPartialOrder
@@ -209,6 +209,17 @@ class LatticeEmbedding:
             if self.map[s.meet[a][b]] != t.meet[self.map[a]][self.map[b]]:
                 bad.append(Witness("meet", (s.name(a), s.name(b))))
         return CheckReport.ok() if not bad else CheckReport.fail(bad)
+
+
+def _memo(build):
+    """build(x) on x alone, read as a cached_property of x: computed once,
+    kept in vars(x) under build's name, which equality, hashing, repr and
+    JSON ignore.  A call with a further argument runs build afresh.  No
+    result may point back at x: refcounting frees the two together."""
+    prop = cached_property(build)
+    prop.__set_name__(None, build.__name__)
+    return wraps(build)(lambda x, *args, **kwargs: build(x, *args, **kwargs)
+                        if args or kwargs else prop.__get__(x))
 
 
 def bits(mask: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateLattice, InvalidInput, MismatchedCarrier
-from .lattice import FiniteLattice, bits
+from .lattice import FiniteLattice, _memo, bits
 from .structures import Graph, _names
 
 
@@ -66,13 +66,15 @@ def mph_leq(f: MaximalPair, g: MaximalPair) -> bool:
     return not f.lattice.ups[f.x] & ~g.lattice.ups[g.x]
 
 
+@_memo
 def dual_graph(L: FiniteLattice) -> Graph:
     """The dual graph of L: vertices are maximal pairs (named p0, p1, ... in
     sorted generator order), with an edge (f, g) iff ones(f) and zeros(g)
     are disjoint, that is up(x_f) & down(y_g) is the empty mask.
 
     This empty-intersection form equals the pointwise order f(a) <= g(a)
-    on the shared domain; the tests check the two against each other.
+    on the shared domain.  Built once per lattice (lattice._memo): every
+    call on L returns the same graph, meta included, not to be mutated.
     """
     pairs = _generators(L)
     names = tuple(f"p{i}" for i in range(len(pairs)))

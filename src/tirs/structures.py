@@ -5,8 +5,9 @@ two-sorted structure (X1, X2, R) with R between the sorts.  Each holds its
 relation as int bitmasks, and the tables derived from them as cached
 properties.  The checkers evaluate reflexivity, separation (S), reducedness
 (R) and maximal extension (Ti) on those masks, reporting the first witness
-in scan order (all witnesses behind a flag).  A frame's tables come from
-one pass over the pairs of its rows and of its columns, and frame (Ti) is
+in scan order (all witnesses behind a flag); a graph keeps its first report.
+(S) groups equal masks in one dict pass, a frame's tables come from one
+pass over the pairs of its rows and of its columns, and frame (Ti) is
 decided against the H-set: every non-related pair must lie below an H-pair.
 """
 
@@ -18,7 +19,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import InvalidInput
-from .lattice import CheckReport, Witness, _transpose, bits
+from .lattice import CheckReport, Witness, _memo, _transpose, bits
 
 
 def _names(mask: int, names) -> frozenset[str]:
@@ -223,10 +224,12 @@ def _supersets(masks) -> list[int]:
 
 
 def _equal_pairs(keys, names, label):
-    for i, a in enumerate(keys):
-        for j in range(i + 1, len(keys)):
-            if a == keys[j]:
-                yield Witness(label, (names[i], names[j]))
+    held = {}  # each key -> the indices holding it, ascending
+    for j, k in enumerate(keys):
+        held.setdefault(k, []).append(j)
+    for i, k in enumerate(keys):
+        for j in held[k][held[k].index(i) + 1:]:  # the j > i holding k
+            yield Witness(label, (names[i], names[j]))
 
 
 def _upper_meets(masks, width: int):
@@ -253,11 +256,11 @@ def _is_rs(rows, cols) -> bool:
                 or _upper_meets(cols, len(rows))[2])
 
 
+@_memo
 def check_graph(g: Graph, all_witnesses: bool = False) -> ConditionReport:
-    """Evaluate reflexivity, (S), (R)(i)+(ii) and (Ti) on a graph.
-
-    The graph is TiRS iff all four verdicts are true.
-    """
+    """Evaluate reflexivity, (S), (R)(i)+(ii) and (Ti) on a graph: TiRS iff
+    all four verdicts are true.  The first-witness report is computed once
+    per graph (lattice._memo); all_witnesses scans on every call."""
     vs, succ, pred = g.vertices, g.succ, g.pred
     n = len(vs)
 

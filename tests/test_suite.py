@@ -2,6 +2,7 @@ import pytest
 
 from tirs import suite
 from tirs.lattice import CheckReport, Witness
+from tirs.structures import Frame, check_frame
 from tirs.suite import TASKS, run_suite
 
 
@@ -52,3 +53,32 @@ def test_pti_task_catches_a_planted_fault(monkeypatch, wrong, law):
     evaluate = suite._bridge
     monkeypatch.setattr(suite, "_bridge", lambda f: wrong(*evaluate(f)))
     assert suite.task_pti(0) == (False, law)
+
+
+@pytest.fixture
+def fresh_corpus():
+    """Empty the corpus caches before and after a test that patches how a
+    corpus is built, so no other test reads the patched corpus."""
+    for cache in (suite._lattices, suite._frames):
+        cache.cache_clear()
+    yield
+    for cache in (suite._lattices, suite._frames):
+        cache.cache_clear()
+
+
+def test_the_frame_corpus_drops_a_frame_failing_column_side_r(monkeypatch,
+                                                               fresh_corpus):
+    """The corpus keeps RS frames only.  A frame that passes (S), row-side
+    (R) and (Ti) but fails (R) at its empty column r is dropped."""
+    bad = Frame(("a", "b"), ("p", "q", "r"), {("a", "q"), ("b", "p")})
+    rep = check_frame(bad, True)
+    assert rep.condS and rep.condTi and not bad.table.r1
+    assert rep.condR.witnesses == (Witness("R(ii)", ("r",)),)
+    kept = suite._frames(0, 4)
+    suite._frames.cache_clear()
+    generate = suite.gen_rs_frame
+    monkeypatch.setattr(suite, "gen_rs_frame",
+                        lambda spec: [*generate(spec), bad])
+    frames = suite._frames(0, 4)
+    assert all(f is not bad for f in frames)
+    assert frames == kept
