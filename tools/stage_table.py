@@ -13,7 +13,8 @@ parse_structure the parsed JSON text of a fresh dual graph.  The
 pipeline row times one pass of every stage but the two serialisation
 ones in order on one fresh lattice, maximal_pairs first as the
 benchmark's lattice jobs call it, so later stages do reuse what earlier
-ones cached (the lattice's maximal-pair table among them).  The
+ones cached (the lattice's maximal-pair table and dual graph, and the
+graph's rho frame and condition report, among them).  The
 generation rows time the GENERATION calls; a random row is one call for
 each of the seeds 0 to 9.  The suite rows build the suite's frame corpus
 (lattices included) at TIRS_SUITE_MAXSIZE=8, run the pti-condition task
