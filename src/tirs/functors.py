@@ -10,8 +10,7 @@ canonical isomorphisms alpha and beta, and both act on morphisms.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Optional
 
@@ -120,10 +119,11 @@ def _pair_name(x: str, y: str) -> str:
     return f"({x},{y})"
 
 
+@_memo
 def gr(f: Frame) -> Graph:
     """The associated graph of a frame: vertices are the H-pairs, with an
-    edge ((x, y), (w, z)) iff x is not related to z.  Not cached on f: one
-    graph per corpus frame kept alive raised the suite's peak memory."""
+    edge ((x, y), (w, z)) iff x is not related to z.  Built once per frame
+    (lattice._memo): the graph is shared, not to be mutated."""
     hs = [(x, y) for x, h in enumerate(f.table.h) for y in bits(h)]
     at_z = [0] * len(f.x2)  # at_z[z] masks the H-pairs (w, z)
     for k, (_, z) in enumerate(hs):
@@ -150,11 +150,6 @@ def _require_tirs(report: ConditionReport):
 def alpha(g: Graph) -> GraphMorphism:
     """The canonical isomorphism x |-> ([x]_1, [x]_2) from a TiRS graph onto
     gr(rho(g)), verified to be a graph isomorphism."""
-    return _alpha(g)[0]
-
-
-def _alpha(g: Graph) -> tuple[GraphMorphism, Frame]:
-    """alpha(g) and rho(g); the morphism's target is gr(rho(g))."""
     _require_tirs(check_graph(g))
     f = rho(g)
     cls1, cls2 = f.meta["class1"], f.meta["class2"]
@@ -168,21 +163,15 @@ def _alpha(g: Graph) -> tuple[GraphMorphism, Frame]:
     m = GraphMorphism(g, target, mapping)
     if not _is_graph_iso(m):
         raise IsoVerificationFailed("alpha is not a graph isomorphism")
-    return m, f
+    return m
 
 
 def beta(f: Frame) -> FrameMorphism:
     """The canonical isomorphism pair from a TiRS frame onto rho(gr(f)),
     sending x to the row class of any H-pair (x, y) and y to the column
     class of any H-pair (x, y); verified well defined and bijective."""
-    return _beta(f)[0]
-
-
-def _beta(f: Frame) -> tuple[FrameMorphism, Graph]:
-    """beta(f) and gr(f); the morphism's target is rho(gr(f))."""
     _require_tirs(check_frame(f))
-    target_graph = gr(f)
-    target = rho(target_graph)
+    target = rho(gr(f))
     cls1, cls2 = target.meta["class1"], target.meta["class2"]
     hs = h_set(f)
     map1, map2 = {}, {}
@@ -197,7 +186,7 @@ def _beta(f: Frame) -> tuple[FrameMorphism, Graph]:
     m = FrameMorphism(f, target, map1, map2)
     if not _is_frame_iso(m):
         raise IsoVerificationFailed("beta is not a frame isomorphism")
-    return m, target_graph
+    return m
 
 
 def _permutes(perm, rows1, rows2) -> bool:
@@ -323,11 +312,7 @@ def rho_mor(m: GraphMorphism) -> FrameMorphism:
     """Image of a graph morphism under rho: classes map to classes of the
     images.  Well-definedness and the frame-morphism clauses are verified
     rather than trusted."""
-    return _rho_mor(m, rho(m.source), rho(m.target))
-
-
-def _rho_mor(m: GraphMorphism, src: Frame, tgt: Frame) -> FrameMorphism:
-    """rho_mor(m), given src = rho(m.source) and tgt = rho(m.target)."""
+    src, tgt = rho(m.source), rho(m.target)
     c1s, c2s = src.meta["class1"], src.meta["class2"]
     c1t, c2t = tgt.meta["class1"], tgt.meta["class2"]
     map1, map2 = {}, {}
@@ -349,11 +334,6 @@ def gr_mor(m: FrameMorphism) -> GraphMorphism:
     """Image of a frame morphism under gr: (x, y) |-> (psi1 x, psi2 y).
     Every H-vertex must land on an H-vertex; the graph-morphism clauses are
     verified."""
-    return _gr_mor(m, gr(m.source), gr(m.target))
-
-
-def _gr_mor(m: FrameMorphism, src: Graph, tgt: Graph) -> GraphMorphism:
-    """gr_mor(m), given src = gr(m.source) and tgt = gr(m.target)."""
     g = m.target
     mapping = {}
     for (x, y) in h_set(m.source):
@@ -361,7 +341,7 @@ def _gr_mor(m: FrameMorphism, src: Graph, tgt: Graph) -> GraphMorphism:
         if not g.table.h[g.index1[img[0]]] >> g.index2[img[1]] & 1:
             raise HNotPreserved(f"image of H-pair ({x},{y}) is not in H")
         mapping[_pair_name(x, y)] = _pair_name(*img)
-    out = GraphMorphism(src, tgt, mapping)
+    out = GraphMorphism(gr(m.source), gr(g), mapping)
     rep = validate_graph_morphism(out)
     if not rep:
         raise HNotPreserved(f"gr image fails clause {rep.witnesses[0]}")
@@ -375,28 +355,26 @@ def check_naturality(m) -> CheckReport:
     """Commutativity of the canonical square for a morphism between TiRS
     structures: gr(rho(phi)) o alpha = alpha o phi for graphs, and
     rho(gr(psi)) o beta = beta o psi for frames, checked pointwise."""
+    if not isinstance(m, (GraphMorphism, FrameMorphism)):
+        raise TypeError(f"not a morphism: {m!r}")
+    # rho and gr are kept on their carriers (lattice._memo), so the functor
+    # image reuses what alpha or beta built; equal carriers share one
+    if m.target == m.source:
+        m = replace(m, target=m.source)
     bad = []
-    # rho and gr run once per distinct carrier: alpha and beta build the
-    # images the functor image reuses, and equal carriers share them
     if isinstance(m, GraphMorphism):
-        alpha_of = functools.cache(_alpha)
-        (a_src, f_src), (a_tgt, f_tgt) = map(alpha_of, (m.source, m.target))
-        functor_image = _gr_mor(_rho_mor(m, f_src, f_tgt), a_src.target,
-                                a_tgt.target)
+        a_src, a_tgt = map(alpha, (m.source, m.target))
+        functor_image = gr_mor(rho_mor(m))
         for x in m.source.vertices:
             if functor_image.map[a_src.map[x]] != a_tgt.map[m.map[x]]:
                 bad.append(Witness("naturality", (x,)))
-    elif isinstance(m, FrameMorphism):
-        beta_of = functools.cache(_beta)
-        (b_src, g_src), (b_tgt, g_tgt) = map(beta_of, (m.source, m.target))
-        functor_image = _rho_mor(_gr_mor(m, g_src, g_tgt), b_src.target,
-                                 b_tgt.target)
+    else:
+        b_src, b_tgt = map(beta, (m.source, m.target))
+        functor_image = rho_mor(gr_mor(m))
         for x in m.source.x1:
             if functor_image.map1[b_src.map1[x]] != b_tgt.map1[m.map1[x]]:
                 bad.append(Witness("naturality-1", (x,)))
         for y in m.source.x2:
             if functor_image.map2[b_src.map2[y]] != b_tgt.map2[m.map2[y]]:
                 bad.append(Witness("naturality-2", (y,)))
-    else:
-        raise TypeError(f"not a morphism: {m!r}")
     return CheckReport.ok() if not bad else CheckReport.fail(bad)

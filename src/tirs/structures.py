@@ -5,10 +5,10 @@ two-sorted structure (X1, X2, R) with R between the sorts.  Each holds its
 relation as int bitmasks, and the tables derived from them as cached
 properties.  The checkers evaluate reflexivity, separation (S), reducedness
 (R) and maximal extension (Ti) on those masks, reporting the first witness
-in scan order (all witnesses behind a flag); a graph keeps its first report.
-(S) groups equal masks in one dict pass, a frame's tables come from one
-pass over the pairs of its rows and of its columns, and frame (Ti) is
-decided against the H-set: every non-related pair must lie below an H-pair.
+in scan order (all witnesses behind a flag); each carrier keeps its first
+report.  (S) groups equal masks in one dict pass, a frame's tables come
+from one pass over the pairs of its rows and of its columns, and frame (Ti)
+asks of the H-set that every non-related pair lie below an H-pair.
 """
 
 from __future__ import annotations
@@ -315,10 +315,12 @@ class _HTable:
             f.rows, self.u1, _transpose(self.u2, len(f.x1)))]
 
 
+@_memo
 def check_frame(f: Frame, all_witnesses: bool = False) -> ConditionReport:
     """Evaluate frame (S), (R) and (Ti).  RS iff (S) and (R) hold; TiRS iff
     additionally (Ti).  The reflexive slot is vacuously true (no reflexivity
-    notion on two-sorted structures)."""
+    notion on two-sorted structures).  The first-witness report is kept on
+    f (lattice._memo); all_witnesses scans on every call."""
     t = f.table
     # two equal masks make (R) fail at both: without an (R) failure, no (S)
     cond_s = itertools.chain(_equal_pairs(f.rows, f.x1, "S(i)"),

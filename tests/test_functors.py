@@ -1,9 +1,8 @@
 import random
-from collections import Counter
 
 import pytest
 
-from tirs import fixtures, functors
+from tirs import fixtures
 from tirs.errors import NotTiRS
 from tirs.functors import (FrameMorphism, GraphMorphism, alpha, beta,
                            check_naturality, compose_frame, compose_graph,
@@ -257,45 +256,36 @@ class TestNaturality:
 
 
 class TestNaturalityBuildsEachImageOnce:
-    """check_naturality runs rho and gr once per distinct carrier: alpha
-    and beta build the images that the functor image reuses."""
+    """check_naturality builds one rho frame and one gr graph per distinct
+    carrier: the functor image reuses what alpha or beta kept on it.  The
+    builds fixture (conftest.py) counts Frame and Graph constructions."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counts, alive = Counter(), []
-        for name in ("rho", "gr"):
-            def counted(x, fn=getattr(functors, name), name=name):
-                alive.append(x)
-                counts[name, id(x)] += 1
-                return fn(x)
-            monkeypatch.setattr(functors, name, counted)
-        return counts
-
-    def test_identity_graph_morphism(self, calls):
+    def test_identity_graph_morphism(self, builds):
         g = dual_graph(fixtures.n5())
+        builds.clear()
         assert check_naturality(identity_graph_morphism(g))
-        assert calls[("rho", id(g))] == 1
-        assert sorted(calls.values()) == [1, 1]
+        assert (builds["Frame"], builds["Graph"]) == (1, 1)
 
-    def test_identity_frame_morphism(self, calls):
+    def test_identity_frame_morphism(self, builds):
         f = fixtures.ladder_truncation(3)
+        builds.clear()
         assert check_naturality(identity_frame_morphism(f))
-        assert calls[("gr", id(f))] == 1
-        assert sorted(calls.values()) == [1, 1]
+        assert (builds["Frame"], builds["Graph"]) == (1, 1)
 
-    def test_equal_carriers_share_their_images(self, calls):
+    def test_equal_carriers_share_their_images(self, builds):
         g = dual_graph(fixtures.n5())
         copy = Graph(g.vertices, g.edges)
+        builds.clear()
         assert check_naturality(GraphMorphism(g, copy, {v: v for v in
                                                         g.vertices}))
-        assert calls[("rho", id(g))] == 1
-        assert sorted(calls.values()) == [1, 1]
+        assert (builds["Frame"], builds["Graph"]) == (1, 1)
 
-    def test_distinct_carriers_get_one_image_each(self, calls):
+    def test_distinct_carriers_get_one_image_each(self, builds):
         g = dual_graph(fixtures.n5())
         m = GraphMorphism(g, loop_graph(), {v: "v" for v in g.vertices})
+        builds.clear()
         assert check_naturality(m)
-        assert sorted(calls.values()) == [1, 1, 1, 1]
+        assert (builds["Frame"], builds["Graph"]) == (2, 2)
 
 
 class TestCompositionLaws:

@@ -1,42 +1,21 @@
-"""The dual graph of a lattice, rho of a graph, the graph's first-witness
-condition report and check_perfect's report are computed once per carrier
-and kept on it: later calls return the same object, no caller builds them
-again, and the memo changes nothing a caller can see and holds no
-reference cycle."""
+"""The dual graph of a lattice, rho of a graph, gr of a frame, the
+first-witness condition reports of graphs and frames and check_perfect's
+report are computed once per carrier and kept on it: later calls return the
+same object, no caller builds them again, and the memo changes nothing a
+caller can see and holds no reference cycle.  The builds fixture is in
+conftest.py."""
 
 import gc
 import weakref
 from collections import Counter
 
-import pytest
-
-from tirs import fixtures, galois, io, structures
-from tirs.functors import alpha, gr, rho
+from tirs import fixtures, galois, io
+from tirs.functors import alpha, beta, gr, rho
 from tirs.galois import canext_tandem, check_perfect, closed_sets
 from tirs.lattice import FiniteLattice, Witness
 from tirs.ploscica import dual_graph
 from tirs.pti import check_pti, pti_bridge_suite
-from tirs.structures import Frame, Graph, check_graph
-
-
-@pytest.fixture
-def builds(monkeypatch):
-    """Graphs and frames built, and graph (S) scans run, per kind.  Every
-    counted structure is kept alive, so no id is reused while counting."""
-    counts, alive = Counter(), []
-    for cls in (Graph, Frame):
-        def counted(obj, *args, init=cls._init, kind=cls.__name__):
-            alive.append(obj)
-            counts[kind] += 1
-            init(obj, *args)
-        monkeypatch.setattr(cls, "_init", counted)
-
-    def scan(keys, names, label, run=structures._equal_pairs):
-        counts["scan", label] += 1
-        return run(keys, names, label)
-
-    monkeypatch.setattr(structures, "_equal_pairs", scan)
-    return counts
+from tirs.structures import Frame, Graph, check_frame, check_graph
 
 
 def test_each_derived_result_is_the_same_object():
@@ -45,6 +24,9 @@ def test_each_derived_result_is_the_same_object():
     assert dual_graph(L) is g
     assert rho(g) is rho(g)
     assert check_graph(g) is check_graph(g)
+    f = rho(g)
+    assert gr(f) is gr(f)
+    assert check_frame(f) is check_frame(f)
     assert check_perfect(L) is check_perfect(L)
 
 
@@ -81,12 +63,36 @@ def test_all_witnesses_still_scans_every_time(builds):
     assert check_graph(g) is first
 
 
-def test_closed_sets_and_gr_are_built_on_every_call():
+def test_all_witnesses_still_scans_every_frame_call(builds):
+    """F2x1 has two empty rows: (S) fails at the pair, (R) and (Ti) at
+    both points."""
+    f = fixtures.f2x1()
+    first = check_frame(f)
+    every = check_frame(f, True)
+    assert every.condR.witnesses == (Witness("R(i)", ("x",)),
+                                     Witness("R(i)", ("x'",)))
+    assert every.condTi.witnesses == (Witness("Ti", ("x", "y")),
+                                      Witness("Ti", ("x'", "y")))
+    assert first.condR.witnesses == every.condR.witnesses[:1]
+    assert first.condTi.witnesses == every.condTi.witnesses[:1]
+    assert check_frame(f, all_witnesses=True) == every
+    assert builds["scan", "S(i)"] == 3
+    assert check_frame(f) is first
+
+
+def test_beta_reads_the_gr_graph_it_cached(builds):
+    f = fixtures.ladder_truncation(3)
+    builds.clear()
+    g = gr(f)
+    m = beta(f)
+    assert m.target is rho(g)
+    assert builds == {"Graph": 1, "Frame": 1}
+
+
+def test_closed_sets_is_built_on_every_call():
     f = rho(dual_graph(fixtures.n5()))
     assert closed_sets(f) is not closed_sets(f)
     assert closed_sets(f) == closed_sets(f)
-    assert gr(f) is not gr(f)
-    assert gr(f) == gr(f)
 
 
 def test_the_bridge_checks_each_closed_set_lattice_once(monkeypatch):
@@ -112,8 +118,10 @@ def test_the_memo_is_invisible():
     check_graph(g)
     check_perfect(L)
     check_pti(L)
+    beta(f)
     assert {"dual_graph", "check_perfect"} <= set(vars(L))
     assert {"rho", "check_graph"} <= set(vars(g))
+    assert {"gr", "check_frame"} <= set(vars(f))
     fresh = (FiniteLattice(L.elements, L.leq, L.join, L.meet, L.bot, L.top),
              Graph(g.vertices, g.edges, g.meta), Frame(f.x1, f.x2, f.r,
                                                        f.meta))
@@ -126,7 +134,8 @@ def test_the_memo_is_invisible():
 
 def test_the_memo_holds_no_reference_cycle():
     """Reference counting alone frees a lattice with its dual graph, the
-    graph's rho frame and their reports."""
+    graph's rho frame, that frame's gr graph, its rho frame and their
+    reports."""
     gc.disable()
     try:
         L = fixtures.m3()
@@ -134,8 +143,11 @@ def test_the_memo_holds_no_reference_cycle():
         check_graph(g)
         check_perfect(L)
         canext_tandem(L)
-        alive = [weakref.ref(x) for x in (L, g, rho(g))]
-        del L, g
-        assert [ref() for ref in alive] == [None, None, None]
+        f = rho(g)
+        beta(f)
+        assert {"gr", "check_frame"} <= set(vars(f))
+        alive = [weakref.ref(x) for x in (L, g, f, gr(f), rho(gr(f)))]
+        del L, g, f
+        assert [ref() for ref in alive] == [None] * 5
     finally:
         gc.enable()

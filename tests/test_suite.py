@@ -58,11 +58,13 @@ def test_pti_task_catches_a_planted_fault(monkeypatch, wrong, law):
 @pytest.fixture
 def fresh_corpus():
     """Empty the corpus caches before and after a test that patches how a
-    corpus is built, so no other test reads the patched corpus."""
-    for cache in (suite._lattices, suite._frames):
+    corpus is built, so no other test reads the patched corpus.  The caches
+    are taken before the test can patch them away."""
+    caches = (suite._lattices, suite._frames, suite._rs_frames_3x3)
+    for cache in caches:
         cache.cache_clear()
     yield
-    for cache in (suite._lattices, suite._frames):
+    for cache in caches:
         cache.cache_clear()
 
 
@@ -76,9 +78,9 @@ def test_the_frame_corpus_drops_a_frame_failing_column_side_r(monkeypatch,
     assert rep.condR.witnesses == (Witness("R(ii)", ("r",)),)
     kept = suite._frames(0, 4)
     suite._frames.cache_clear()
-    generate = suite.gen_rs_frame
-    monkeypatch.setattr(suite, "gen_rs_frame",
-                        lambda spec: [*generate(spec), bad])
+    every_3x3 = suite._rs_frames_3x3
+    monkeypatch.setattr(suite, "_rs_frames_3x3",
+                        lambda: (*every_3x3(), bad))
     frames = suite._frames(0, 4)
     assert all(f is not bad for f in frames)
     assert frames == kept

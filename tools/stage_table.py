@@ -13,11 +13,12 @@ parse_structure the parsed JSON text of a fresh dual graph.  The
 pipeline row times one pass of every stage but the two serialisation
 ones in order on one fresh lattice, maximal_pairs first as the
 benchmark's lattice jobs call it, so later stages do reuse what earlier
-ones cached (the lattice's maximal-pair table and dual graph, and the
-graph's rho frame and condition report, among them).  The
-generation rows time the GENERATION calls; a random row is one call for
-each of the seeds 0 to 9.  The suite rows build the suite's frame corpus
-(lattices included) at TIRS_SUITE_MAXSIZE=8, run the pti-condition task
+ones cached (the lattice's maximal-pair table and dual graph, the graph's
+rho frame and condition report, and the frame's gr graph and condition
+report, among them).  The generation rows time the GENERATION calls; a
+random row is one call for each of the seeds 0 to 9.  The suite rows build
+the suite's frame corpus (lattices and the exhaustive 3x3 RS frames
+included) at TIRS_SUITE_MAXSIZE=8, run the pti-condition task
 for seed 0 on that corpus built beforehand, and run check_frame on a
 fresh copy of each frame of that corpus, so that every frame's table is
 built on the clock.  Each figure is in
@@ -113,8 +114,12 @@ def measure_row(row):
     from tirs.structures import Frame, check_frame
 
     def corpus(built):
-        suite._lattices.cache_clear()
-        suite._frames.cache_clear()
+        # trees that build the 3x3 RS frames once keep them in a cache of
+        # their own, emptied too so the frame row still times them
+        for cache in (suite._lattices, suite._frames,
+                      getattr(suite, "_rs_frames_3x3", None)):
+            if cache:
+                cache.cache_clear()
         if built:
             suite._frames(0, 8)
 
