@@ -12,8 +12,9 @@ from tirs.structures import Frame, Graph  # noqa: E402
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Graphs and frames built, and graph (S) scans run, per kind.  Every
-    counted structure is kept alive, so no id is reused while counting."""
+    """Graphs and frames built per kind, and (S) scans run per label, of
+    graphs and frames.  Every counted structure is kept alive, so no id is
+    reused while counting."""
     counts, alive = Counter(), []
     for cls in (Graph, Frame):
         def counted(obj, *args, init=cls._init, kind=cls.__name__):
