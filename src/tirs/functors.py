@@ -358,18 +358,20 @@ def check_naturality(m) -> CheckReport:
     if not isinstance(m, (GraphMorphism, FrameMorphism)):
         raise TypeError(f"not a morphism: {m!r}")
     # rho and gr are kept on their carriers (lattice._memo), so the functor
-    # image reuses what alpha or beta built; equal carriers share one
+    # image reuses alpha's or beta's; equal carriers share one, mapped once
     if m.target == m.source:
         m = replace(m, target=m.source)
     bad = []
     if isinstance(m, GraphMorphism):
-        a_src, a_tgt = map(alpha, (m.source, m.target))
+        a_src = alpha(m.source)
+        a_tgt = a_src if m.target is m.source else alpha(m.target)
         functor_image = gr_mor(rho_mor(m))
         for x in m.source.vertices:
             if functor_image.map[a_src.map[x]] != a_tgt.map[m.map[x]]:
                 bad.append(Witness("naturality", (x,)))
     else:
-        b_src, b_tgt = map(beta, (m.source, m.target))
+        b_src = beta(m.source)
+        b_tgt = b_src if m.target is m.source else beta(m.target)
         functor_image = rho_mor(gr_mor(m))
         for x in m.source.x1:
             if functor_image.map1[b_src.map1[x]] != b_tgt.map1[m.map1[x]]:

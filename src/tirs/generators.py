@@ -3,19 +3,20 @@ and RS frames for the property sweeps.
 
 Random poset model: each strict pair (i, j) with i < j, visited in a
 shuffled order, is included with probability 1/2, then the relation is
-transitively closed.  Identical GenSpec values yield identical output.
+transitively closed: the successor masks are Warshall's rows of the drawn
+pairs and the loops.  Identical GenSpec values yield identical output.
 
 Generation works on int masks and builds a structure only once it is kept:
 a random lattice attempt takes its principal downsets from Warshall's rows
 of the drawn pairs reversed, with no Graph, and is sized on its family of
 sets before it is built; an RS frame is decided on its masks; and an
 exhaustive lattice of n elements is a poset class of n - 2 points between
-a bottom and a top.  Exhaustive
-poset classes grow by one-point extension: a new maximal point goes above
-each downset of each class one point smaller, and the candidates are
-deduped on a canonical labelling, the least pair mask over the natural
-labellings.  Exhaustive mode reaches 8 points for posets and TiRS graphs,
-10 elements for lattices and 3x3 for RS frames.
+a bottom and a top, whose up-masks go straight to the lattice scan.
+Exhaustive poset classes grow by one-point extension: a new maximal point
+goes above each downset of each class one point smaller, and the
+candidates are deduped on a canonical labelling, the least pair mask over
+the natural labellings.  Exhaustive mode reaches 8 points for posets and
+TiRS graphs, 10 elements for lattices and 3x3 for RS frames.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Optional
 
 from .errors import InvalidInput, NotALattice, SizeUnreachable
 from .galois import inclusion_lattice
-from .lattice import (FiniteLattice, _finish_lattice, _transpose, _warshall,
-                      bits, closed_under, is_distributive, transitive_closure)
+from .lattice import (FiniteLattice, _scan, _transpose, _warshall, bits,
+                      closed_under, is_distributive)
 from .ploscica import dual_graph
 from .structures import Frame, Graph, _is_rs
 
@@ -72,17 +73,6 @@ def _random_pairs(n: int, rng: random.Random) -> list[tuple[int, int]]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
     return [p for p in pairs if rng.random() < 0.5]
-
-
-def _random_strict_order(n: int, rng: random.Random) -> set[tuple[int, int]]:
-    return transitive_closure(n, _random_pairs(n, rng))
-
-
-def _poset_graph(n: int, strict: set[tuple[int, int]]) -> Graph:
-    succ = [1 << i for i in range(n)]
-    for a, b in strict:
-        succ[a] |= 1 << b
-    return Graph._from_masks(tuple(f"v{i}" for i in range(n)), succ)
 
 
 def _canonical(ups, bit_lists) -> tuple[int, ...]:
@@ -146,12 +136,12 @@ def gen_poset(spec: GenSpec) -> list[Graph]:
     """Posets as reflexive transitive graphs.  Exhaustive mode enumerates
     all posets of the given size up to isomorphism."""
     _expect_kind(spec, ("poset",))
+    n, names = spec.size, tuple(f"v{i}" for i in range(spec.size))
     if spec.exhaustive:
-        names = tuple(f"v{i}" for i in range(spec.size))
-        return [Graph._from_masks(names, succ)
-                for succ in _poset_classes(spec.size)]
-    rng = random.Random(spec.seed)
-    return [_poset_graph(spec.size, _random_strict_order(spec.size, rng))
+        return [Graph._from_masks(names, succ) for succ in _poset_classes(n)]
+    rng, loops = random.Random(spec.seed), [(i, i) for i in range(n)]
+    return [Graph._from_masks(names, _warshall(n, _random_pairs(n, rng)
+                                               + loops))
             for _ in range(spec.count)]
 
 
@@ -177,15 +167,15 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
     if spec.exhaustive:
         # bound each poset class of n - 2 points by 0 and n - 1, which every
         # isomorphism fixes: one lattice class at most, in its first labelling
+        # (for n = 1 the bottom is the top, and the slice keeps one mask)
         n = spec.size
-        names = tuple(f"e{i}" for i in range(n))
-        bounds = {(0, i) for i in range(n)} | {(i, n - 1) for i in range(n)}
+        names, top = tuple(f"e{i}" for i in range(n)), 1 << n - 1
         lats: list[FiniteLattice] = []
         for succ in _poset_classes(max(n - 2, 0)):
             try:
-                lat = _finish_lattice(names, frozenset(bounds | {
-                    (a + 1, b + 1) for a, row in enumerate(succ)
-                    for b in bits(row)}))
+                lat = _scan(names, [(top << 1) - 1,
+                                    *(row << 1 | top for row in succ),
+                                    top][:n])
             except NotALattice:
                 continue
             if spec.kind == "lattice" or is_distributive(lat):
@@ -250,7 +240,7 @@ def gen_tirs_graph(spec: GenSpec) -> list[Graph]:
                                    spec.count, spec.exhaustive))
     except SizeUnreachable:
         lats = []
-    out.extend(dual_graph(lat) for lat in lats if lat.n >= 2)
+    out.extend(map(dual_graph, lats))
     return out
 
 
@@ -266,27 +256,28 @@ def generate(spec: GenSpec):
 
 def random_monotone_map(p: Graph, q: Graph,
                         rng: random.Random) -> Optional[dict]:
-    """A monotone map between poset graphs, chosen by seeded backtracking;
-    None if the search fails (cannot happen when q has a least element,
-    but kept defensive)."""
-    order = sorted(p.vertices, key=lambda v: len(p.col(v)))  # linear ext
-    targets = list(q.vertices)
-    assign: dict[str, str] = {}
+    """A monotone map p -> q as a name dict, by seeded backtracking over p
+    by predecessor count; None if there is none, never so on poset graphs:
+    a constant map into a reflexive graph is monotone."""
+    order = sorted(range(len(p.vertices)), key=lambda v: p.pred[v].bit_count())
+    assign: dict[int, int] = {}
 
     def bt(k):
         if k == len(order):
             return True
         v = order[k]
-        cand = targets[:]
+        cand = list(range(len(q.vertices)))
         rng.shuffle(cand)
+        below = [s for u, s in assign.items() if p.pred[v] >> u & 1]
+        above = [s for u, s in assign.items() if p.succ[v] >> u & 1]
         for t in cand:
-            if all(not p.has(u, v) or q.has(assign[u], t) for u in assign) \
-                    and all(not p.has(v, u) or q.has(t, assign[u])
-                            for u in assign):
+            if all(q.succ[s] >> t & 1 for s in below) and \
+                    all(q.succ[t] >> s & 1 for s in above):
                 assign[v] = t
                 if bt(k + 1):
                     return True
                 del assign[v]
         return False
 
-    return dict(assign) if bt(0) else None
+    return {p.vertices[v]: q.vertices[t] for v, t in assign.items()} \
+        if bt(0) else None

@@ -322,11 +322,6 @@ def _warshall(n: int, pairs) -> list[int]:
     return rows
 
 
-def transitive_closure(n: int, pairs) -> set[tuple[int, int]]:
-    """Transitive closure of a relation on range(n): Warshall on row masks."""
-    return {(a, b) for a, r in enumerate(_warshall(n, pairs)) for b in bits(r)}
-
-
 def lattice_from_leq(elements, leq_pairs) -> FiniteLattice:
     """Build a FiniteLattice from names and an already-closed order relation.
 

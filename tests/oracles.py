@@ -15,7 +15,7 @@ from tirs.errors import (InvalidInput, NoBounds, NotALattice,
                          NotAPartialOrder, NotPerfect, SizeUnreachable)
 from tirs.functors import graph_iso
 from tirs.galois import GaloisLattice
-from tirs.generators import _poset_graph, _random_strict_order
+from tirs.generators import _random_pairs
 from tirs.lattice import (CheckReport, FiniteLattice, Witness, _finish_lattice,
                           bits, is_distributive, lattice_iso)
 from tirs.pti import PTiWitness
@@ -866,7 +866,7 @@ def strict_order_classes(n: int) -> tuple[frozenset, ...]:
 
 def brute_poset_classes(n: int) -> list[Graph]:
     """Exhaustive gen_poset from strict_order_classes."""
-    return [_poset_graph(n, rel) for rel in strict_order_classes(n)]
+    return [set_poset_graph(n, rel) for rel in strict_order_classes(n)]
 
 
 def brute_lattice_classes(kind: str, n: int) -> list[FiniteLattice]:
@@ -892,7 +892,7 @@ def pairwise_posets(n: int) -> list[Graph]:
     """Exhaustive gen_poset: each candidate against every kept poset."""
     out: list[Graph] = []
     for rel in _enumerate_strict_orders(n):
-        g = _poset_graph(n, rel)
+        g = set_poset_graph(n, rel)
         if not any(graph_iso(g, h) for h in out):
             out.append(g)
     return out
@@ -925,7 +925,8 @@ def pairwise_gen_lattice(spec) -> list[FiniteLattice]:
             raise SizeUnreachable(
                 f"no {spec.kind} of size {spec.size} after {attempts} tries")
         base = max(1, spec.size - rng.randrange(0, 3))
-        g = _poset_graph(base, _random_strict_order(base, rng))
+        g = set_poset_graph(base, set_transitive_closure(
+            base, _random_pairs(base, rng)))
         lat = (frozen_downset_lattice(g)
                if spec.kind == "distributive-lattice"
                else frozen_dm_completion(g))
@@ -960,6 +961,33 @@ def framewise_gen_rs_frame(spec) -> list[Frame]:
         if check_frame(f).is_rs:
             out.append(f)
     return out
+
+
+def set_random_monotone_map(p: Graph, q: Graph, rng: random.Random):
+    """random_monotone_map by vertex name: every assigned vertex is tested
+    through Graph.has, and p's vertices are ordered by the size of
+    Graph.col."""
+    order = sorted(p.vertices, key=lambda v: len(p.col(v)))
+    targets = list(q.vertices)
+    assign: dict[str, str] = {}
+
+    def bt(k):
+        if k == len(order):
+            return True
+        v = order[k]
+        cand = targets[:]
+        rng.shuffle(cand)
+        for t in cand:
+            if all(not p.has(u, v) or q.has(assign[u], t) for u in assign) \
+                    and all(not p.has(v, u) or q.has(t, assign[u])
+                            for u in assign):
+                assign[v] = t
+                if bt(k + 1):
+                    return True
+                del assign[v]
+        return False
+
+    return dict(assign) if bt(0) else None
 
 
 # -- bodies replaced by faster ones ------------------------------------------

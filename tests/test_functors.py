@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tirs import fixtures
+from tirs import fixtures, functors
 from tirs.errors import NotTiRS
 from tirs.functors import (FrameMorphism, GraphMorphism, alpha, beta,
                            check_naturality, compose_frame, compose_graph,
@@ -286,6 +286,32 @@ class TestNaturalityBuildsEachImageOnce:
         builds.clear()
         assert check_naturality(m)
         assert (builds["Frame"], builds["Graph"]) == (2, 2)
+
+    def test_each_canonical_map_is_verified_once_per_carrier(
+            self, monkeypatch):
+        """alpha or beta runs once on an identity and between equal
+        carriers, and at each end between distinct graphs or frames: one
+        _permutes call per run."""
+        calls = []
+
+        def counted(perm, rows1, rows2, run=functors._permutes):
+            calls.append(len(perm))
+            return run(perm, rows1, rows2)
+
+        monkeypatch.setattr(functors, "_permutes", counted)
+        g = dual_graph(fixtures.n5())
+        f = fixtures.ladder_truncation(3)
+        copy = Graph(g.vertices, g.edges)
+        constant = GraphMorphism(g, loop_graph(), {v: "v" for v in g.vertices})
+        for m, want in (
+                (identity_graph_morphism(g), 1),
+                (identity_frame_morphism(f), 1),
+                (GraphMorphism(g, copy, {v: v for v in g.vertices}), 1),
+                (constant, 2),
+                (rho_mor(constant), 2)):
+            calls.clear()
+            assert check_naturality(m)
+            assert len(calls) == want
 
 
 class TestCompositionLaws:

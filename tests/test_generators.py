@@ -10,7 +10,7 @@ from tirs.generators import (GenSpec, gen_lattice, gen_poset, gen_rs_frame,
 from tirs.lattice import is_distributive, lattice_iso
 from tirs.structures import check_frame, check_graph, is_poset_graph
 
-from oracles import transitive_reflexive_pairs
+from oracles import set_poset_graph, transitive_reflexive_pairs
 
 
 class TestDeterminism:
@@ -58,16 +58,16 @@ class TestLattices:
         """A random family of more than size sets is dropped, so its closure
         stops once it is past the size: of the 256 downsets of an antichain
         of 8 points, a closure capped at 12 builds few."""
-        from tirs.generators import _lattice_sets, _poset_graph
-        g = _poset_graph(8, set())
+        from tirs.generators import _lattice_sets
+        g = set_poset_graph(8, set())
         assert len(_lattice_sets(g.pred, True)) == 256
         assert len(_lattice_sets(g.pred, True, 256)) == 256
         assert 12 < len(_lattice_sets(g.pred, True, 12)) < 32
         assert len(_lattice_sets(g.pred, False, 12)) == 10
 
     def test_two_antichain_downsets_give_b2(self):
-        from tirs.generators import _lattice_sets, _poset_graph
-        g = _poset_graph(2, set())
+        from tirs.generators import _lattice_sets
+        g = set_poset_graph(2, set())
         L = inclusion_lattice(_lattice_sets(g.pred, True), g.vertices)[1]
         assert lattice_iso(L, fixtures.b2()) is not None
 

@@ -20,12 +20,12 @@ from tirs.galois import (_close, _generation_failures, canext_polarity,
                          closure, frame_of_perfect, galois_down, galois_up)
 from tirs.galois import inclusion_lattice
 from tirs.generators import (GenSpec, _canonical, _lattice_sets,
-                             _poset_graph, _random_strict_order, gen_lattice,
-                             gen_poset, gen_rs_frame, gen_tirs_graph)
+                             _random_pairs, gen_lattice, gen_poset,
+                             gen_rs_frame, gen_tirs_graph,
+                             random_monotone_map)
 from tirs.io import dump_structure
-from tirs.lattice import (FiniteLattice, _finish_lattice, bits,
-                          build_lattice, irreducibles, lattice_iso,
-                          transitive_closure)
+from tirs.lattice import (FiniteLattice, _finish_lattice, _warshall, bits,
+                          build_lattice, irreducibles, lattice_iso)
 from tirs.ploscica import dual_graph, maximal_pairs
 from tirs.pti import _pti_pairs, check_pti_frame_form
 from tirs.structures import Frame, Graph, _is_rs, check_frame, \
@@ -47,7 +47,8 @@ from oracles import (_enumerate_strict_orders, all_frames, all_graphs,
                      set_irreducibles, set_is_frame_iso, set_is_graph_iso,
                      set_is_poset_graph, set_lattice_iso,
                      set_lower_covers, set_maximal_pairs, set_polarity_frame,
-                     set_pti_pairs, set_rho, set_ti_failures,
+                     set_pti_pairs, set_random_monotone_map, set_rho,
+                     set_ti_failures,
                      set_transitive_closure, set_upper_covers,
                      set_validate_frame_morphism,
                      set_validate_graph_morphism, subsets)
@@ -215,13 +216,52 @@ def test_lattice_frames_match_the_set_builders():
 
 
 def test_poset_graphs_match_the_set_builder():
-    rng = random.Random(14)
-    orders = [(n, rel) for n in range(1, 6)
-              for rel in _enumerate_strict_orders(n)]
-    orders += [(n, _random_strict_order(n, rng))
-               for n in range(1, 12) for _ in range(5)]
-    for n, rel in orders:
-        assert_same_carrier(_poset_graph(n, rel), set_poset_graph(n, rel))
+    """Random gen_poset, Warshall's rows of the drawn pairs and the loops,
+    against set_poset_graph of the pair-set closure of the same draws.
+    Exhaustive posets are compared with brute_poset_classes."""
+    for n in range(1, 12):
+        for seed in range(5):
+            rng = random.Random(seed)
+            want = [set_poset_graph(n, set_transitive_closure(
+                n, _random_pairs(n, rng))) for _ in range(3)]
+            got = gen_poset(GenSpec("poset", n, seed, count=3))
+            for g, w in zip(got, want, strict=True):
+                assert_same_carrier(g, w)
+
+
+def test_monotone_maps_match_the_name_search():
+    """random_monotone_map on indices and masks against the search by name
+    in oracles.py: the same dict in the same key order, and the same rng
+    state after it.  On 2,240 pairs of seeded posets of 1-6 points, 240 of
+    them with every poset class of 1-4 points as the target (the one-point
+    poset, antichains and chains among them), and on graphs that are not
+    posets: every pair of relations on two vertices, where some searches
+    fail, and pairs of dual graphs, where the test on successors counts."""
+    rng = random.Random(24)
+
+    def poset(n):
+        return gen_poset(GenSpec("poset", n, rng.randrange(2 ** 32)))[0]
+
+    classes = [q for n in range(1, 5)
+               for q in gen_poset(GenSpec("poset", n, exhaustive=True))]
+    pairs = [(poset(rng.randrange(1, 7)), poset(rng.randrange(1, 7)))
+             for _ in range(2000)]
+    pairs += [(poset(rng.randrange(1, 7)), q)
+              for q in classes for _ in range(10)]
+    duals = [dual_graph(L) for L in gen_lattice(
+        GenSpec("lattice", 6, exhaustive=True))]
+    pairs += [(g, h) for g in all_graphs(2) for h in all_graphs(2)]
+    pairs += [(g, h) for g in duals for h in duals[::3]]
+    failed = 0
+    for k, (p, q) in enumerate(pairs):
+        got_rng, want_rng = random.Random(k), random.Random(k)
+        got = random_monotone_map(p, q, got_rng)
+        want = set_random_monotone_map(p, q, want_rng)
+        assert got == want and list(got or ()) == list(want or ())
+        assert got_rng.getstate() == want_rng.getstate()
+        failed += got is None
+    assert 0 < failed < len(pairs)
+
 
 
 @pytest.mark.parametrize("spec", [
@@ -329,10 +369,10 @@ def test_mask_families_give_the_frozenset_lattices():
     """Downset lattices and completions of every poset up to 5 points and
     of random ones up to 12, where v10 sorts before v2."""
     rng = random.Random(15)
-    graphs = [_poset_graph(n, rel) for n in range(1, 6)
+    graphs = [set_poset_graph(n, rel) for n in range(1, 6)
               for rel in _enumerate_strict_orders(n)]
-    graphs += [_poset_graph(n, _random_strict_order(n, rng))
-               for n in range(9, 13) for _ in range(3)]
+    graphs += [set_poset_graph(n, set_transitive_closure(
+        n, _random_pairs(n, rng))) for n in range(9, 13) for _ in range(3)]
     for g in graphs:
         for distributive, want in ((True, frozen_downset_lattice(g)),
                                    (False, frozen_dm_completion(g))):
@@ -353,10 +393,10 @@ def test_the_closure_matches_the_pairwise_worklist():
     len(family) == limit decision, and it completes where the worklist
     does."""
     rng = random.Random(16)
-    graphs = [_poset_graph(n, rel) for n in range(1, 6)
+    graphs = [set_poset_graph(n, rel) for n in range(1, 6)
               for rel in _enumerate_strict_orders(n)]
-    graphs += [_poset_graph(n, _random_strict_order(n, rng))
-               for n in range(6, 13) for _ in range(3)]
+    graphs += [set_poset_graph(n, set_transitive_closure(
+        n, _random_pairs(n, rng))) for n in range(6, 13) for _ in range(3)]
     for g in graphs:
         full = (1 << len(g.vertices)) - 1
         for distributive, base, op in ((True, {0, *g.pred}, int.__or__),
@@ -672,8 +712,9 @@ def test_errors_and_witnesses_match_on_all_relations():
         for mask in range(2 ** len(cells)):
             rel = {c for k, c in enumerate(cells) if mask >> k & 1}
             rel |= {(i, i) for i in range(n)}
-            closed = transitive_closure(n, rel)
-            assert closed == set_transitive_closure(n, rel)
+            closed = set_transitive_closure(n, rel)
+            assert {(a, b) for a, row in enumerate(_warshall(n, rel))
+                    for b in bits(row)} == closed
             got = outcome(build_lattice, names,
                           [(names[a], names[b]) for a, b in rel])
             assert got == outcome(set_finish_lattice, names,

@@ -147,15 +147,15 @@ def test_exhaustive_gen_lattice_builds_once_per_bounded_poset_class(
     isomorphism search runs."""
     built, compared = [], []
 
-    def counted(elements, rel, build=lattice._finish_lattice):
-        built.append(rel)
-        return build(elements, rel)
+    def counted(elements, ups, build=lattice._scan):
+        built.append(ups)
+        return build(elements, ups)
 
     def iso(rows1, cols1, rows2, cols2, search=lattice.mask_iso):
         compared.append(len(rows1))
         return search(rows1, cols1, rows2, cols2)
 
-    monkeypatch.setattr(generators, "_finish_lattice", counted)
+    monkeypatch.setattr(generators, "_scan", counted)
     for module in (lattice, functors):
         monkeypatch.setattr(module, "mask_iso", iso)
     assert len(gen_lattice(GenSpec("lattice", 6, exhaustive=True))) == 15

@@ -61,8 +61,10 @@ GENERATION = {
     "gen lattice 8 x3 (seeds 0-9)": ("lattice", 8, 3, False),
     "gen distributive-lattice 8 x3 (seeds 0-9)":
         ("distributive-lattice", 8, 3, False),
+    "gen poset 8 x3 (seeds 0-9)": ("poset", 8, 3, False),
     "gen poset 5 exhaustive": ("poset", 5, 1, True),
     "gen lattice 6 exhaustive": ("lattice", 6, 1, True),
+    "gen lattice 8 exhaustive": ("lattice", 8, 1, True),
     "gen distributive-lattice 6 exhaustive":
         ("distributive-lattice", 6, 1, True),
     "gen tirs-graph 5 exhaustive": ("tirs-graph", 5, 1, True),
