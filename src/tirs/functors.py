@@ -16,8 +16,8 @@ from typing import Optional
 
 from .errors import (HNotPreserved, InvalidInput, IsoVerificationFailed,
                      MismatchedCarrier, NotTiRS, NotWellDefined)
-from .lattice import CheckReport, Witness, _memo, mask_iso
-from .structures import (ConditionReport, Frame, Graph, _collect, _walk, bits,
+from .lattice import CheckReport, Witness, _memo, _walk, mask_iso
+from .structures import (ConditionReport, Frame, Graph, _collect, bits,
                          check_frame, check_graph, h_set)
 
 

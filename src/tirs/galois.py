@@ -49,15 +49,10 @@ def closure(f: Frame, A) -> frozenset[str]:
 
 
 def inclusion_lattice(masks, points):
-    """The sets of a family of masks over points, in (size, sorted members)
-    order, and the lattice they form under inclusion with each set named
-    by its members.  The family is not scanned: a closure system (closed
+    """A family of masks over points in (size, sorted members) order, their
+    sets, and the lattice the sets form under inclusion with each named by
+    its members.  The family is not scanned: a closure system (closed
     under intersection, with the full set) is a lattice, as is its dual."""
-    return _inclusion(masks, points)[1:]
-
-
-def _inclusion(masks, points):
-    """The masks in inclusion_lattice's order, its sets and its lattice."""
     rank = sorted(range(len(points)), key=points.__getitem__)
     members = {m: [points[i] for i in rank if m >> i & 1] for m in masks}
     masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
@@ -104,7 +99,7 @@ def closed_sets(f: Frame) -> GaloisLattice:
             raise AssertionError(f"generated set {sorted(_names(s, f.x1))} "
                                  f"is not closed")
 
-    order, sets, lat = _inclusion(family, f.x1)
+    order, sets, lat = inclusion_lattice(family, f.x1)
     name = dict(zip(order, lat.elements))
     j = frozenset(name[_close(f, 1 << x)] for x in range(len(f.x1)))
     m = frozenset(map(name.__getitem__, f.cols))

@@ -196,7 +196,7 @@ def gen_lattice(spec: GenSpec) -> list[FiniteLattice]:
         family = _lattice_sets(downs, spec.kind != "lattice", spec.size)
         if len(family) == spec.size:
             points = tuple(f"v{i}" for i in range(base))
-            out.append(inclusion_lattice(family, points)[1])
+            out.append(inclusion_lattice(family, points)[2])
     return out
 
 

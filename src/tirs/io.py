@@ -15,8 +15,8 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import InvalidInput, TirsError, UnsupportedKind
-from .lattice import FiniteLattice, build_lattice
-from .structures import Frame, Graph, _walk
+from .lattice import FiniteLattice, _walk, build_lattice
+from .structures import Frame, Graph
 
 
 def detect_kind(payload: dict) -> str:

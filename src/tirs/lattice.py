@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInput, NoBounds, NotALattice, NotAPartialOrder
@@ -59,11 +60,11 @@ class FiniteLattice:
     """A finite bounded lattice held as the masks of its order: ups[a] has
     bit b set iff a <= b, and downs, set beside it with the indices bot
     and top, is the transpose.  FiniteLattice(elements, leq, join, meet,
-    bot, top) reads the order as index pairs and checks the tables and
-    bounds against it; FiniteLattice._from_masks(elements, ups) takes the
-    masks.  The views leq (the pairs (a, b) with a <= b) and the join/meet
-    tables, _index, irreducible_masks and maximal_masks are cached on
-    first read."""
+    bot, top) scans the index pairs of an order on distinct names and checks
+    the tables and bounds against it; FiniteLattice._from_masks(elements, ups)
+    takes the masks.  The views leq (the pairs (a, b) with a <= b) and the
+    join/meet tables, _index, irreducible_masks and maximal_masks are cached
+    on first read."""
 
     elements: tuple[str, ...]
     ups: tuple[int, ...]
@@ -72,7 +73,12 @@ class FiniteLattice:
                  leq: frozenset[tuple[int, int]],
                  join: tuple[tuple[int, ...], ...],
                  meet: tuple[tuple[int, ...], ...], bot: int, top: int):
-        vars(self).update(vars(_finish_lattice(elements, leq)))
+        n = len(elements)
+        if len(set(elements)) < n:
+            raise InvalidInput("duplicate element names")
+        if not all(0 <= i < n for pair in leq for i in pair):
+            raise InvalidInput("a leq pair holds an index outside range(n)")
+        vars(self).update(vars(_scan(elements, order_masks(n, leq))))
         for what, given in (("join", tuple(map(tuple, join))),
                             ("meet", tuple(map(tuple, meet))),
                             ("bot", bot), ("top", top)):
@@ -84,8 +90,8 @@ class FiniteLattice:
 
     @classmethod
     def _from_masks(cls, elements, ups) -> FiniteLattice:
-        """bot or top is None if the order lacks it: _finish_lattice then
-        raises, and no other caller passes such masks."""
+        """bot or top is None if the order lacks it: _scan then raises,
+        and no other caller passes such masks."""
         L, ups, full = object.__new__(cls), tuple(ups), (1 << len(ups)) - 1
         downs = _transpose(ups, len(ups))
         vars(L).update(elements=tuple(elements), ups=ups, downs=downs,
@@ -168,7 +174,6 @@ class FiniteLattice:
         return self.downs.index(_meet(self.downs, xs, self.n))
 
     def to_json(self) -> dict:
-        from .structures import _walk  # structures imports this module
         e = self.elements
         leq = [[e[a], b] for a, bs in _walk(self.ups, e, e, e) for b in bs]
         return {"elements": list(e),
@@ -255,6 +260,19 @@ def _transpose(rows, width: int) -> tuple[int, ...]:
     return tuple(int("".join(col)[::-1], 2) for col in zip(*digits))
 
 
+def _walk(rows, names1, names2, cols):
+    """Yield (i, picked) per non-empty rows[i] in the order of names1, picked
+    giving cols[j] per set bit j in the order of names2: sorted pair order."""
+    rank = sorted(range(len(names2)), key=names2.__getitem__)
+    # bit j is byte len - 1 - j of a row's bit string; index 0 keeps a tuple
+    pick = itemgetter(*[len(rank) - 1 - j for j in rank], 0)
+    cols, digits = [cols[j] for j in rank], bytes.maketrans(b"01", b"\0\1")
+    for i in sorted(range(len(names1)), key=names1.__getitem__):
+        if rows[i]:
+            yield i, itertools.compress(cols, pick(format(
+                rows[i], f"0{len(rank)}b").encode().translate(digits)))
+
+
 def _meet(masks, members, width: int) -> int:
     """The AND of masks[i] over the indices i in members, starting from
     the full mask of the given width."""
@@ -325,11 +343,11 @@ def _warshall(n: int, pairs) -> list[int]:
 def lattice_from_leq(elements, leq_pairs) -> FiniteLattice:
     """Build a FiniteLattice from names and an already-closed order relation.
 
-    ``leq_pairs`` are name pairs; the relation must be a lattice order with
-    bounds or the corresponding error is raised.
+    ``leq_pairs`` are name pairs; the relation must be a reflexive lattice
+    order with bounds or the corresponding error is raised.
     """
     elements, rel = _index_pairs(elements, leq_pairs, "leq pair")
-    return _finish_lattice(elements, frozenset(rel))
+    return _scan(elements, order_masks(len(elements), rel))
 
 
 def _index_pairs(elements, pairs, what: str):
@@ -356,16 +374,12 @@ def build_lattice(elements, covers) -> FiniteLattice:
     return _scan(elements, _warshall(n, pairs | {(i, i) for i in range(n)}))
 
 
-def _finish_lattice(elements, rel) -> FiniteLattice:
-    """_scan of a relation given as index pairs."""
-    return _scan(elements, order_masks(len(elements), rel))
-
-
 def _scan(elements, ups) -> FiniteLattice:
-    """The lattice of a reflexive, transitive relation given as row masks:
-    a and b have a join iff ups[a] & ups[b] is an up-mask, and a meet iff
+    """The lattice of a transitive relation given as row masks: a and b
+    have a join iff ups[a] & ups[b] is an up-mask, and a meet iff
     downs[a] & downs[b] is a down-mask.  Errors name the lowest cycle pair,
-    or the first pair in scan order lacking a join or a meet (join first)."""
+    the first pair in scan order lacking a join or a meet (join first), or,
+    checked last, the first element whose row lacks its own bit."""
     L = FiniteLattice._from_masks(elements, ups)
     ups, downs, n = L.ups, L.downs, L.n
     for a in range(n):
@@ -386,6 +400,9 @@ def _scan(elements, ups) -> FiniteLattice:
                 raise NotALattice((L.name(a), L.name(b)), "meet")
     if L.bot is None or L.top is None:
         raise NoBounds("missing bottom or top")
+    for a in range(n):
+        if not ups[a] >> a & 1:
+            raise InvalidInput(f"leq is not reflexive at {L.name(a)}")
     return L
 
 

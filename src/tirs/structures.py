@@ -16,10 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 from .errors import InvalidInput
-from .lattice import CheckReport, Witness, _memo, _transpose, bits
+from .lattice import CheckReport, Witness, _memo, _transpose, _walk, bits
 
 
 def _names(mask: int, names) -> frozenset[str]:
@@ -48,19 +47,6 @@ def _relation(index1, index2, pairs, unknown: str) -> list[int]:
     except KeyError:
         raise InvalidInput(unknown) from None
     return rows
-
-
-def _walk(rows, names1, names2, cols):
-    """Yield (i, picked) per non-empty rows[i] in the order of names1, picked
-    giving cols[j] per set bit j in the order of names2: sorted pair order."""
-    rank = sorted(range(len(names2)), key=names2.__getitem__)
-    # bit j is byte len - 1 - j of a row's bit string; index 0 keeps a tuple
-    pick = itemgetter(*[len(rank) - 1 - j for j in rank], 0)
-    cols, digits = [cols[j] for j in rank], bytes.maketrans(b"01", b"\0\1")
-    for i in sorted(range(len(names1)), key=names1.__getitem__):
-        if rows[i]:
-            yield i, itertools.compress(cols, pick(format(
-                rows[i], f"0{len(rank)}b").encode().translate(digits)))
 
 
 class _Relational:

@@ -172,15 +172,11 @@ def task_h_characterization(seed):
 
 def _monotone_morphisms(seed, count):
     rng = random.Random(seed)
-    out = []
-    while len(out) < count:
+    for _ in range(count):
         np_, nq = rng.randrange(1, 6), rng.randrange(1, 6)
         p = gen_poset(GenSpec("poset", np_, rng.randrange(2**32)))[0]
         q = gen_poset(GenSpec("poset", nq, rng.randrange(2**32)))[0]
-        m = random_monotone_map(p, q, rng)
-        if m is not None:
-            out.append(GraphMorphism(p, q, m))
-    return out
+        yield GraphMorphism(p, q, random_monotone_map(p, q, rng))
 
 
 def task_functor_laws(seed):
@@ -202,12 +198,8 @@ def task_functor_laws(seed):
         p = gen_poset(GenSpec("poset", 4, rng.randrange(2**32)))[0]
         q = gen_poset(GenSpec("poset", 3, rng.randrange(2**32)))[0]
         r = gen_poset(GenSpec("poset", 3, rng.randrange(2**32)))[0]
-        m1 = random_monotone_map(p, q, rng)
-        m2 = random_monotone_map(q, r, rng)
-        if m1 is None or m2 is None:
-            continue
-        g1 = GraphMorphism(p, q, m1)
-        g2 = GraphMorphism(q, r, m2)
+        g1 = GraphMorphism(p, q, random_monotone_map(p, q, rng))
+        g2 = GraphMorphism(q, r, random_monotone_map(q, r, rng))
         lhs = rho_mor(compose_graph(g2, g1))
         rhs = compose_frame(rho_mor(g2), rho_mor(g1))
         if lhs.map1 != rhs.map1 or lhs.map2 != rhs.map2:

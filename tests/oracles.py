@@ -16,8 +16,8 @@ from tirs.errors import (InvalidInput, NoBounds, NotALattice,
 from tirs.functors import graph_iso
 from tirs.galois import GaloisLattice
 from tirs.generators import _random_pairs
-from tirs.lattice import (CheckReport, FiniteLattice, Witness, _finish_lattice,
-                          bits, is_distributive, lattice_iso)
+from tirs.lattice import (CheckReport, FiniteLattice, Witness, bits,
+                          is_distributive, lattice_iso)
 from tirs.pti import PTiWitness
 from tirs.structures import ConditionReport, Frame, Graph, check_frame
 
@@ -483,7 +483,8 @@ def set_transitive_closure(n: int, pairs) -> set[tuple[int, int]]:
 
 
 def set_finish_lattice(elements, rel) -> FiniteLattice:
-    """The lattice of a closed index relation by the upper-bound scan."""
+    """The lattice of a closed index relation by the upper-bound scan; a
+    relation that passes it but is not reflexive is refused last."""
     n = len(elements)
 
     def le(a, b):
@@ -515,6 +516,9 @@ def set_finish_lattice(elements, rel) -> FiniteLattice:
     tops = [a for a in range(n) if all(le(b, a) for b in range(n))]
     if not bots or not tops:
         raise NoBounds("missing bottom or top")
+    for a in range(n):
+        if not le(a, a):
+            raise InvalidInput(f"leq is not reflexive at {elements[a]}")
     # set every field and view by hand: the public constructor would run
     # the kernel under test before the oracle's own scan could disagree
     L = object.__new__(FiniteLattice)
@@ -792,18 +796,23 @@ def set_gen_rs_frame(spec) -> list[Frame]:
 
 def frozen_inclusion_lattice(family):
     """A family of sets in (size, members) order, and the lattice it forms
-    under inclusion with each set named by its members."""
+    under inclusion with each set named by its members.  The lattice is
+    built straight from the up-masks of that order, with no scan: the
+    callers pass closure systems and their duals, lattices by
+    construction."""
     sets = sorted(family, key=lambda s: (len(s), sorted(s)))
     index = {x: i for i, x in enumerate(frozenset().union(*sets))}
     masks = [sum(1 << index[x] for x in s) for s in sets]
     leq = frozenset((i, j) for i, si in enumerate(masks)
                     for j, sj in enumerate(masks) if not si & ~sj)
+    ups = [sum(1 << j for j in range(len(sets)) if (i, j) in leq)
+           for i in range(len(sets))]
     names, first = [_set_name(s) for s in sets], {}
     for s, name in zip(sets, names):  # a "," in a point name can collide
         if first.setdefault(name, s) != s:
             raise InvalidInput(f"sets {sorted(first[name])} and {sorted(s)} "
                                f"are both named {name}")
-    return sets, _finish_lattice(names, leq)
+    return sets, FiniteLattice._from_masks(names, ups)
 
 
 def pairwise_closure(base, *ops, limit=None) -> frozenset:
@@ -879,7 +888,7 @@ def brute_lattice_classes(kind: str, n: int) -> list[FiniteLattice]:
     out = []
     for rel in strict_order_classes(max(n - 2, 0)):
         try:
-            lat = _finish_lattice(names, frozenset(
+            lat = set_finish_lattice(names, frozenset(
                 bounds | loops | {(a + 1, b + 1) for a, b in rel}))
         except NotALattice:
             continue
@@ -907,7 +916,7 @@ def pairwise_gen_lattice(spec) -> list[FiniteLattice]:
         loops = {(i, i) for i in range(spec.size)}
         for rel in _enumerate_strict_orders(spec.size):
             try:
-                lat = _finish_lattice(names, frozenset(rel | loops))
+                lat = set_finish_lattice(names, frozenset(rel | loops))
             except (NotALattice, NoBounds):
                 continue
             if spec.kind == "distributive-lattice" and \

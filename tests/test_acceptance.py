@@ -269,7 +269,7 @@ def test_criterion_10_birkhoff_specialization(capsys):
             rev = Graph(g.vertices,
                         frozenset((b, a) for a, b in g.edges))
             downsets = inclusion_lattice(_lattice_sets(rev.pred, True),
-                                         rev.vertices)[1]
+                                         rev.vertices)[2]
             assert lattice_iso(gl.as_lattice, downsets) is not None
     _gate(10, "on distributive lattices the duality specializes to the "
               "poset and downset picture", body, capsys)

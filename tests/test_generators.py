@@ -68,7 +68,7 @@ class TestLattices:
     def test_two_antichain_downsets_give_b2(self):
         from tirs.generators import _lattice_sets
         g = set_poset_graph(2, set())
-        L = inclusion_lattice(_lattice_sets(g.pred, True), g.vertices)[1]
+        L = inclusion_lattice(_lattice_sets(g.pred, True), g.vertices)[2]
         assert lattice_iso(L, fixtures.b2()) is not None
 
     def test_bowtie_completion_is_hexagon(self):
@@ -80,7 +80,7 @@ class TestLattices:
         edges = frozenset({(v, v) for v in vs}
                           | {("n1", "m2"), ("n2", "m1")})
         L = inclusion_lattice(_lattice_sets(Graph(vs, edges).pred, False),
-                              vs)[1]
+                              vs)[2]
         assert L.n == 6
         assert not is_distributive(L)
 

@@ -79,6 +79,33 @@ class TestBuild:
         with pytest.raises(ValueError, match="unknown element 'zz'"):
             lattice_from_leq(["a"], [("a", "a"), ("a", "zz")])
 
+    def test_the_constructor_rejects_repeated_names(self):
+        c2 = fixtures.c2()
+        with pytest.raises(InvalidInput, match="^duplicate element names$"):
+            FiniteLattice(("a", "a"), c2.leq, c2.join, c2.meet, 0, 1)
+
+    @pytest.mark.parametrize("pair",
+                             [(0, 5), (-1, -1), (0, 2), (2, 0), (-1, 1)])
+    def test_the_constructor_rejects_indices_outside_the_carrier(self, pair):
+        """No leq index outside range(n) reaches the masks: (-1, 1) would
+        pass as (1, 1) if rows[-1] were row 1."""
+        c2 = fixtures.c2()
+        with pytest.raises(InvalidInput, match="outside range"):
+            FiniteLattice(c2.elements, {*c2.leq, pair}, c2.join, c2.meet,
+                          0, 1)
+
+    def test_a_relation_that_is_not_reflexive_is_no_lattice(self):
+        """b <= b is missing, and the rest passes the scan, whose tables
+        would give join(b, b) = c."""
+        names = ["a", "b", "c"]
+        leq = [("a", "a"), ("a", "b"), ("a", "c"), ("b", "c"), ("c", "c")]
+        with pytest.raises(InvalidInput, match="^leq is not reflexive at b$"):
+            lattice_from_leq(names, leq)
+        index = {(names.index(x), names.index(y)) for x, y in leq}
+        with pytest.raises(InvalidInput, match="not reflexive at b"):
+            FiniteLattice(names, index, ((0, 1, 2),) * 3, ((0, 0, 0),) * 3,
+                          0, 2)
+
 
 class TestIrreducibles:
     def test_c2(self):
