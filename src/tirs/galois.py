@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from .errors import (EmbeddingNotOnto, InvalidInput, IrreducibleMismatch,
                      NotPerfect)
 from .lattice import (CheckReport, FiniteLattice, LatticeEmbedding, Witness,
-                      _meet, _memo, _transpose, bits, closed_under,
-                      irreducibles)
+                      _meet, _memo, bits, closed_under, irreducibles)
 from .ploscica import _generators, dual_graph
-from .structures import Frame, _names
+from .structures import Frame, _names, _supersets
 from .functors import _permutes, rho
 
 
@@ -56,17 +55,13 @@ def inclusion_lattice(masks, points):
     rank = sorted(range(len(points)), key=points.__getitem__)
     members = {m: [points[i] for i in rank if m >> i & 1] for m in masks}
     masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
-    # holds[p] masks the sets holding point p: a set lies below the sets
-    # that hold all its points
-    holds = _transpose(masks, len(points))
-    ups = [_meet(holds, bits(m), len(masks)) for m in masks]
     names, first = ["{" + ",".join(members[m]) + "}" for m in masks], {}
     sets = [frozenset(members[m]) for m in masks]
     for s, name in zip(sets, names):  # a "," in a point name can collide
         if first.setdefault(name, s) != s:
             raise InvalidInput(f"sets {sorted(first[name])} and {sorted(s)} "
                                f"are both named {name}")
-    return masks, sets, FiniteLattice._from_masks(names, ups)
+    return masks, sets, FiniteLattice._from_masks(names, _supersets(masks))
 
 
 @dataclass(frozen=True)

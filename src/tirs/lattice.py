@@ -61,10 +61,11 @@ class FiniteLattice:
     bit b set iff a <= b, and downs, set beside it with the indices bot
     and top, is the transpose.  FiniteLattice(elements, leq, join, meet,
     bot, top) scans the index pairs of an order on distinct names and checks
-    the tables and bounds against it; FiniteLattice._from_masks(elements, ups)
-    takes the masks.  The views leq (the pairs (a, b) with a <= b) and the
-    join/meet tables, _index, irreducible_masks and maximal_masks are cached
-    on first read."""
+    the tables and bounds against it (a reflexive leq that is not transitive
+    is refused with NotAPartialOrder or NotALattice, never built);
+    FiniteLattice._from_masks(elements, ups) takes the masks.  The views leq
+    (the pairs (a, b) with a <= b) and the join/meet tables, _index,
+    irreducible_masks and maximal_masks are cached on first read."""
 
     elements: tuple[str, ...]
     ups: tuple[int, ...]
@@ -343,8 +344,9 @@ def _warshall(n: int, pairs) -> list[int]:
 def lattice_from_leq(elements, leq_pairs) -> FiniteLattice:
     """Build a FiniteLattice from names and an already-closed order relation.
 
-    ``leq_pairs`` are name pairs; the relation must be a reflexive lattice
-    order with bounds or the corresponding error is raised.
+    ``leq_pairs`` are name pairs: a reflexive lattice order with bounds, or
+    the matching error is raised.  A reflexive relation that is not
+    transitive is never built: it raises NotAPartialOrder or NotALattice.
     """
     elements, rel = _index_pairs(elements, leq_pairs, "leq pair")
     return _scan(elements, order_masks(len(elements), rel))

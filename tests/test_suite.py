@@ -1,8 +1,14 @@
+from types import SimpleNamespace
+
 import pytest
 
-from tirs import suite
-from tirs.lattice import CheckReport, Witness
-from tirs.structures import Frame, check_frame
+from tirs import fixtures, suite
+from tirs.functors import graph_iso
+from tirs.generators import GenSpec, generate
+from tirs.lattice import (CheckReport, Witness, build_lattice,
+                          is_distributive, lattice_iso)
+from tirs.ploscica import dual_graph
+from tirs.structures import Frame, check_frame, check_graph
 from tirs.suite import TASKS, run_suite
 
 
@@ -60,7 +66,7 @@ def fresh_corpus():
     """Empty the corpus caches before and after a test that patches how a
     corpus is built, so no other test reads the patched corpus.  The caches
     are taken before the test can patch them away."""
-    caches = (suite._lattices, suite._frames, suite._rs_frames_3x3)
+    caches = (suite._lattices, suite._frames, suite._every)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -78,9 +84,71 @@ def test_the_frame_corpus_drops_a_frame_failing_column_side_r(monkeypatch,
     assert rep.condR.witnesses == (Witness("R(ii)", ("r",)),)
     kept = suite._frames(0, 4)
     suite._frames.cache_clear()
-    every_3x3 = suite._rs_frames_3x3
-    monkeypatch.setattr(suite, "_rs_frames_3x3",
-                        lambda: (*every_3x3(), bad))
+    every = suite._every
+
+    def every_and_bad(kind, size):
+        classes = every(kind, size)
+        return (*classes, bad) if kind == "rs-frame" else classes
+
+    monkeypatch.setattr(suite, "_every", every_and_bad)
     frames = suite._frames(0, 4)
     assert all(f is not bad for f in frames)
     assert frames == kept
+
+
+def _classes(kind, sizes):
+    return [c for n in sizes for c in generate(GenSpec(kind, n,
+                                                       exhaustive=True))]
+
+
+@pytest.mark.parametrize("maxsize,total", [(4, 9), (6, 17), (8, 23)])
+def test_the_corpus_holds_every_class_up_to_5_elements_once(maxsize, total):
+    """The five fixtures, each lattice class of 2..min(maxsize, 5) elements
+    once, the same objects for every seed, then three draws per size from 6
+    up."""
+    classes = _classes("lattice", range(2, min(maxsize, 5) + 1))
+    fixed = [L.to_json() for L in fixtures.all_lattices().values()]
+    small = None
+    for seed in range(6):
+        lats = suite._lattices(seed, maxsize)
+        assert len(lats) == total
+        assert [L.to_json() for L in lats[:5]] == fixed
+        every, drawn = lats[5:5 + len(classes)], lats[5 + len(classes):]
+        for c in classes:
+            assert sum(lattice_iso(L, c) is not None for L in every) == 1
+        small = small or every
+        assert all(a is b for a, b in zip(every, small, strict=True))
+        assert [L.n for L in drawn] == [n for n in range(6, maxsize + 1)
+                                        for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_birkhoff_visits_every_distributive_class_up_to_5(monkeypatch, seed):
+    monkeypatch.setenv("TIRS_SUITE_MAXSIZE", "5")
+    visited = []
+    irreducibles = suite.irreducibles
+
+    def record(L):
+        visited.append(L)
+        return irreducibles(L)
+
+    monkeypatch.setattr(suite, "irreducibles", record)
+    assert suite.task_birkhoff(seed)[0]
+    assert all(is_distributive(L) for L in visited)
+    classes = _classes("distributive-lattice", range(2, 6))
+    assert len(classes) == 7
+    for c in classes:
+        assert any(lattice_iso(L, c) is not None for L in visited)
+
+
+def test_a_fault_only_the_5_element_chain_triggers_fails_seed_0(monkeypatch):
+    """Seed 0's random draws below 6 elements never held C5; the exhaustive
+    part of the corpus holds it for every seed.  The file's size of 4 holds
+    no 5-element lattice, so the test sets its own."""
+    monkeypatch.setenv("TIRS_SUITE_MAXSIZE", "6")
+    names = [str(i) for i in range(5)]
+    c5_dual = dual_graph(build_lattice(names, list(zip(names, names[1:]))))
+    monkeypatch.setattr(suite, "check_graph", lambda g: (
+        SimpleNamespace(is_tirs=False) if graph_iso(g, c5_dual) is not None
+        else check_graph(g)))
+    assert not suite.task_dual_tirs(0)[0]

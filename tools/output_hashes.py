@@ -16,6 +16,9 @@ random_monotone_map  3,000 seeded pairs of gen_poset posets of 1-6 points
 run_job <workload>   the results of every job of wide, tall and battery,
                      for seeds 0-3
 run_suite            run_suite(s) for s = 0-5 at TIRS_SUITE_MAXSIZE=8
+suite corpus         every lattice of suite._lattices(s, m), then every
+                     frame of suite._frames(s, m), for s = 0-5 and
+                     m = 4, 6, 8
 
 A structure is hashed as io.dump_structure writes it, and a request that
 raises a toolkit error as the error's type and message.  Stdlib only.
@@ -39,6 +42,7 @@ MONOTONE_PAIRS = 3000
 JOB_SEEDS = range(4)
 SUITE_SEEDS = range(6)
 SUITE_MAXSIZE = "8"
+CORPUS_MAXSIZES = (4, 6, 8)
 
 
 class Digest:
@@ -121,6 +125,19 @@ def hash_suite() -> str:
     return d.prefix()
 
 
+def hash_suite_corpus() -> str:
+    from tirs import suite
+    from tirs.io import dump_structure
+
+    d = Digest()
+    for seed in SUITE_SEEDS:
+        for maxsize in CORPUS_MAXSIZES:
+            for s in (*suite._lattices(seed, maxsize),
+                      *suite._frames(seed, maxsize)):
+                d.add(dump_structure(s))
+    return d.prefix()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", nargs="?", type=Path, default=ROOT,
@@ -133,6 +150,7 @@ def main(argv=None) -> int:
     for name in ("wide", "tall", "battery"):
         out[f"run_job {name}"] = hash_jobs(name)
     out["run_suite"] = hash_suite()
+    out["suite corpus"] = hash_suite_corpus()
     print(json.dumps(out, indent=1))
     return 0
 

@@ -17,22 +17,22 @@ ones cached (the lattice's maximal-pair table and dual graph, the graph's
 rho frame and condition report, and the frame's gr graph and condition
 report, among them).  The generation rows time the GENERATION calls; a
 random row is one call for each of the seeds 0 to 9.  The suite rows build
-the suite's frame corpus (lattices and the exhaustive 3x3 RS frames
-included) at TIRS_SUITE_MAXSIZE=8, run the pti-condition task
-for seed 0 on that corpus built beforehand, and run check_frame on a
-fresh copy of each frame of that corpus, so that every frame's table is
-built on the clock.  Each figure is in
-milliseconds of time.process_time: the median of every in-process call
-of a row over INTERPRETERS interpreters per tree.  An interpreter calls
-a row at least MIN_CALLS and at most MAX_CALLS times, until BUDGET_MS
-of timed work is spent; each call gets an input built off the clock
-(the suite rows on emptied corpus caches), after a gc.collect().  The
-stages share one interpreter per round, and every generation or suite
-row has one of its own, so no row runs on the heap another left; the
-two trees take turns, and who goes first alternates.  The output keeps
-each interpreter's median too, to show their spread.  It also records,
-and the tool prints, the line count of src/tirs/*.py in each tree, as
-`wc -l` counts it.  Stdlib only.
+the suite's frame corpus (its lattices, the exhaustive lattice classes
+among them, and the exhaustive 3x3 RS frames included) at
+TIRS_SUITE_MAXSIZE=8, run the pti-condition task for seed 0 on that
+corpus built beforehand, and run check_frame on a fresh copy of each
+frame of that corpus, so that every frame's table is built on the clock.
+Each figure is in milliseconds of time.process_time: the median of
+every in-process call of a row over INTERPRETERS interpreters per tree.
+An interpreter calls a row at least MIN_CALLS and at most MAX_CALLS
+times, until BUDGET_MS of timed work is spent; each call gets an input
+built off the clock (the suite rows on emptied corpus caches), after a
+gc.collect().  The stages share one interpreter per round, and every
+generation or suite row has one of its own, so no row runs on the heap
+another left; the two trees take turns, and who goes first alternates.
+The output keeps each interpreter's median too, to show their spread.
+It also records, and the tool prints, the line count of src/tirs/*.py in
+each tree, as `wc -l` counts it.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -116,9 +116,11 @@ def measure_row(row):
     from tirs.structures import Frame, check_frame
 
     def corpus(built):
-        # trees that build the 3x3 RS frames once keep them in a cache of
-        # their own, emptied too so the frame row still times them
+        # trees that build the seed-independent classes once keep them in a
+        # cache of their own (_every; _rs_frames_3x3 before it), emptied too
+        # so the frame row still times them
         for cache in (suite._lattices, suite._frames,
+                      getattr(suite, "_every", None),
                       getattr(suite, "_rs_frames_3x3", None)):
             if cache:
                 cache.cache_clear()
